@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import distribution, parity, tables
 from .errors import DiscrepancyError, ParameterError, SingoverError
-from .oracle import DEFAULT_CAP, enumerate_overpartitions
+from .oracle import DEFAULT_CAP, MAX_CAP, enumerate_overpartitions
 from .params import SingularParams
 
 # Degree caps: exact big-integer tables and packed-parity tables.
@@ -296,9 +296,30 @@ _SUITES = {
 }
 
 
+# Smallest value of a suite's size argument at which every one of its
+# checks covers at least one case; below it a check would pass vacuously.
+# The even interval and exclusion checks start at l = 4.
+_SUITE_MINIMUM = {
+    "lemma1": ("n_max", 1),
+    "oracle": ("n_max", 1),
+    "parity-facts": ("n_max", 1),
+    "intervals": ("ell_max", 4),
+    "exclusions": ("ell_max", 4),
+}
+
+
 def cmd_verify(cfg: RunConfig, out) -> int:
     if cfg.n_max is not None and not 0 <= cfg.n_max <= CAP_EXACT:
         raise ParameterError(f"--n-max must be in [0, {CAP_EXACT}]")
+    if cfg.suite in _SUITE_MINIMUM:
+        field, least = _SUITE_MINIMUM[cfg.suite]
+        if getattr(cfg, field) < least:
+            raise ParameterError(
+                f"--{field.replace('_', '-')} must be >= {least} for suite "
+                f"{cfg.suite!r}; a smaller value leaves a check with no cases"
+            )
+    if not 1 <= cfg.oracle_cap <= MAX_CAP:
+        raise ParameterError(f"--oracle-cap must be in [1, {MAX_CAP}]")
     checks = _SUITES[cfg.suite](cfg)
     desc = {
         key: getattr(cfg, key)

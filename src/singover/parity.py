@@ -8,7 +8,8 @@ implemented here:
 * ``exceptional_set`` enumerates those exponents with their (m, sign)
   witnesses.
 * ``convolution_parity_check`` verifies, per n, that the pentagonal
-  convolution of table values is odd precisely on the exceptional set.
+  convolution of table values has the parity of the theta coefficient
+  of q^n, which is the number of (m, sign) witnesses of n.
 * ``form_witness`` and the exclusion checks handle the quadratic-form
   question "is T = k m^2 +- m(k-2i) solvable" that gates the interval
   results.
@@ -16,8 +17,10 @@ implemented here:
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
-every exceptional exponent is hit twice and the convolution is even
-there; the per-n check is meaningful for i < k/2 only.
+every exceptional exponent has two witnesses and the convolution is even
+there. Odd on the exceptional set therefore holds for i < k/2 only; the
+per-n check compares with the witness count and holds for every
+admissible (k, i).
 """
 
 from __future__ import annotations
@@ -90,8 +93,10 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
     """Check the pentagonal convolution parity at a single positive n.
 
     Sums table values at n minus every generalized pentagonal offset,
-    reduces mod 2, and compares against membership of n in the
-    exceptional set: odd on it, even off it.
+    reduces mod 2, and compares against the parity of the theta
+    coefficient of q^n, i.e. of the number of witnesses of n in the
+    exceptional set. For i < k/2 that is odd on the set and even off
+    it; at i = k/2 every member has two witnesses, so it is even.
     """
     if n < 1:
         raise ParameterError(f"the convolution identity is about n >= 1, got {n}")
@@ -110,7 +115,7 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         if e <= n:
             total += table.value(n - e)
         s += 1
-    return (total & 1) == (1 if n in exceptional_set(params, n) else 0)
+    return (total & 1) == (len(exceptional_set(params, n).witnesses(n)) & 1)
 
 
 def first_convolution_mismatch(params: SingularParams, table) -> int | None:

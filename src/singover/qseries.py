@@ -168,6 +168,10 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     restricted to the nonzero divisor terms, so a divisor with T terms
     costs O(N * T). The constant term of t must be +-1; quotients then
     stay integral with no divisibility checks needed.
+
+    Divisor terms are split by sign so that the +-1 terms of an eta
+    product cost one add or subtract each, with no multiply; only other
+    coefficients go through the general multiply-subtract.
     """
     _require_same_degree(s, t)
     t0 = t.coeffs[0]
@@ -175,11 +179,22 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
         raise NonUnitDivisorError(f"divisor constant term must be +1 or -1, got {t0}")
     n = s.trunc_degree
     nz = [(j, c) for j, c in enumerate(t.coeffs) if c and j > 0]
+    minus = [j for j, c in nz if c == -1]
+    plus = [j for j, c in nz if c == 1]
+    other = [(j, c) for j, c in nz if c not in (1, -1)]
     r = [0] * (n + 1)
     sc = s.coeffs
     for e in range(n + 1):
         acc = sc[e]
-        for j, c in nz:
+        for j in minus:
+            if j > e:
+                break
+            acc += r[e - j]
+        for j in plus:
+            if j > e:
+                break
+            acc -= r[e - j]
+        for j, c in other:
             if j > e:
                 break
             acc -= c * r[e - j]
@@ -214,23 +229,27 @@ def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
     return TruncSeriesZ(coeffs)
 
 
-def pochhammer_neg(a: int, b: int, trunc_degree: int) -> TruncSeriesZ:
-    """The product (-q^a; q^b)_inf = prod_{j>=0} (1 + q^(a+jb)), truncated.
+def _mul_pochhammer_neg(res: list, a: int, b: int) -> None:
+    """Multiply the coefficient list in place by (-q^a; q^b)_inf, truncated.
 
-    Factors whose lowest exponent exceeds the truncation degree are 1
-    through that degree, so dropping them is exact.
+    Applies one factor (1 + q^c) per c = a, a+b, ... up to the
+    truncation degree len(res) - 1; factors whose lowest exponent
+    exceeds that degree are 1 through it, so dropping them is exact.
+    Each factor is one slice update costing O(N - c).
     """
+    for c in range(a, len(res), b):
+        # multiply by (1 + q^c): new[n] = old[n] + old[n - c]
+        res[c:] = [x + y for x, y in zip(res[c:], res)]
+
+
+def pochhammer_neg(a: int, b: int, trunc_degree: int) -> TruncSeriesZ:
+    """The product (-q^a; q^b)_inf = prod_{j>=0} (1 + q^(a+jb)), truncated."""
     if a < 1 or b < 1:
         raise ParameterError(f"offsets must be >= 1, got a={a}, b={b}")
     if trunc_degree < 0:
         raise ParameterError("truncation degree must be nonnegative")
-    res = [0] * (trunc_degree + 1)
-    res[0] = 1
-    c = a
-    while c <= trunc_degree:
-        # multiply by (1 + q^c): new[n] = old[n] + old[n - c]
-        res[c:] = [x + y for x, y in zip(res[c:], res)]
-        c += b
+    res = [1] + [0] * trunc_degree
+    _mul_pochhammer_neg(res, a, b)
     return TruncSeriesZ(res)
 
 

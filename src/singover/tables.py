@@ -3,7 +3,12 @@
 Three routes to the same numbers:
 
 * ``coefficients_product``: the defining infinite-product quotient
-  (q^k;q^k) (-q^i;q^k) (-q^(k-i);q^k) / (q;q).
+  (q^k;q^k) (-q^i;q^k) (-q^(k-i);q^k) / (q;q). It starts from the
+  sparse pentagonal expansion of (q^k;q^k), multiplies in each factor
+  (1 + q^c) with c = i or k-i (mod k) in place, one O(N) slice update
+  per factor and so O(N^2 / k) in all, and divides by (q;q). It never
+  forms a dense-by-dense product and never touches the theta numerator,
+  so its agreement with the theta route is an independent cross-check.
 * ``coefficients_theta``: Andrews' theta identity, a sparse two-sided
   theta numerator divided by (q;q). This is the default fast exact path.
 * ``special_form``: the reduced eta-quotients available when (k, i) is
@@ -101,11 +106,12 @@ class ParityTable:
 
 @lru_cache(maxsize=None)
 def _product_values(k: int, i: int, trunc_degree: int) -> tuple[int, ...]:
-    num = qs.mul(
-        qs.mul(qs.eta_product(k, trunc_degree), qs.pochhammer_neg(i, k, trunc_degree)),
-        qs.pochhammer_neg(k - i, k, trunc_degree),
-    )
-    return qs.div(num, qs.eta_product(1, trunc_degree)).coeffs
+    num = list(qs.eta_product(k, trunc_degree).coeffs)
+    # At i = k/2 both calls apply the same factors: the formula lists the
+    # overline factor twice and this route follows it literally.
+    qs._mul_pochhammer_neg(num, i, k)
+    qs._mul_pochhammer_neg(num, k - i, k)
+    return qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree)).coeffs
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,46 @@ def test_verify_lemma1(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_verify_lemma1_half_k(capsys):
+    # at i = k/2 the theta coefficient of every exceptional n is 2, and
+    # the per-n check holds alongside the wholesale one
+    code, out, _ = run_cli(
+        ["verify", "--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "1000"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert all(c["passed"] for c in payload["checks"])
+
+
+def test_oracle_cap_ceiling_exits_2(capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "100",
+         "--oracle-cap", "100000"],
+        capsys,
+    )
+    assert code == 2 and "parameter error" in err and "--oracle-cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "lemma1", "--k", "3", "--i", "1", "--n-max", "0"],
+        ["--suite", "oracle", "--k", "3", "--i", "1", "--n-max", "0"],
+        ["--suite", "intervals", "--p", "5", "--ell-max", "3"],
+        ["--suite", "exclusions", "--p", "5", "--ell-max", "3"],
+        ["--suite", "parity-facts", "--n-max", "0"],
+    ],
+    ids=["lemma1-n0", "oracle-n0", "intervals-ell3", "exclusions-ell3", "parity-facts-n0"],
+)
+def test_zero_case_checks_exit_2(capsys, args):
+    code, out, err = run_cli(["verify"] + args, capsys)
+    assert code == 2 and "no cases" in err
+    assert out == ""
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "oracle", "--k", "7", "--i", "2", "--n-max", "25"],

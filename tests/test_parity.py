@@ -107,12 +107,14 @@ def test_convolution_requires_positive_n_and_coverage():
 
 
 def test_convolution_caveat_at_half_k():
-    # with i = k/2 both signs produce each exceptional value, the
-    # convolution is even there, and the naive comparison fails; this
-    # pins the documented caveat
+    # with i = k/2 both signs produce each exceptional value k m^2 / 2,
+    # the theta coefficient there is 2 and the convolution is even; the
+    # per-n check compares with that parity, so it holds on the set too
     params = SingularParams(4, 2)
-    table = coefficients_theta(params, 10)
-    assert not convolution_parity_check(params, 2, table)
+    table = coefficients_theta(params, 50)
+    for n in (2, 8, 18, 32, 50):
+        assert len(exceptional_set(params, n).witnesses(n)) == 2
+        assert convolution_parity_check(params, n, table)
 
 
 # --- quadratic form checks ---------------------------------------------------

@@ -149,6 +149,20 @@ def test_div_nonunit_rejected():
         div(TruncSeriesZ([1, 1]), TruncSeriesZ([2, 1]))
 
 
+def test_div_mixed_divisor_against_naive_loop():
+    # t0 = -1 and a divisor mixing +-1 terms with other coefficients, so
+    # every sign class of the forward substitution is exercised
+    s = TruncSeriesZ([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8])
+    t = TruncSeriesZ([-1, 1, -1, 2, 0, -3, 1, 0, -1, 7, 0, 1])
+    n = s.trunc_degree
+    r = []
+    for e in range(n + 1):
+        acc = s[e] - sum(t[j] * r[e - j] for j in range(1, e + 1))
+        r.append(acc // t[0])
+    assert div(s, t).coeffs == tuple(r)
+    assert mul(div(s, t), t) == s
+
+
 @given(unit_divisor_pair())
 @settings(deadline=None)
 def test_div_mul_roundtrip(pair):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from singover.cli import CAP_EXACT
 from singover.errors import ParameterError, TableTooShortError
 from singover.oracle import enumerate_overpartitions
 from singover.params import SingularParams
@@ -16,14 +17,23 @@ from singover.tables import (
 )
 
 SAMPLE_PARAMS = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 2), (7, 3), (9, 4)]
+ADMISSIBLE_PARAMS = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
 
 
-@pytest.mark.parametrize("k,i", SAMPLE_PARAMS)
+@pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)
 def test_pipelines_agree(k, i):
     params = SingularParams(k, i)
     assert (
-        coefficients_product(params, 120).values
-        == coefficients_theta(params, 120).values
+        coefficients_product(params, 300).values
+        == coefficients_theta(params, 300).values
+    )
+
+
+def test_pipelines_agree_at_exact_cap():
+    params = SingularParams(5, 1)
+    assert (
+        coefficients_product(params, CAP_EXACT).values
+        == coefficients_theta(params, CAP_EXACT).values
     )
 
 
