@@ -149,7 +149,7 @@ def _suite_oracle(cfg) -> list[dict]:
         {
             "name": f"series-vs-enumeration-k{cfg.k}-i{cfg.i}-n{n_max}",
             "passed": not bad,
-            "detail": {"mismatches": bad},
+            "detail": {"mismatches": bad, "mismatch_count": len(bad)},
         }
     ]
 
@@ -163,7 +163,7 @@ def _suite_pipelines(cfg) -> list[dict]:
         {
             "name": f"product-vs-theta-k{cfg.k}-i{cfg.i}-n{cfg.n_max}",
             "passed": not bad,
-            "detail": {"mismatches": bad[:10]},
+            "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
         }
     ]
 
@@ -179,7 +179,7 @@ def _suite_special_forms(cfg) -> list[dict]:
             {
                 "name": f"special-{family}-scale{scale}-n{cfg.n_max}",
                 "passed": not bad,
-                "detail": {"mismatches": bad[:10]},
+                "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
             }
         )
     return checks
@@ -197,31 +197,42 @@ def _suite_parity_facts(cfg) -> list[dict]:
     bad41 = [e for e in range(1, n + 1, 2) if t41.parity(e)]
     bad62 = [e for e in range(1, n + 1) if t62.parity(e) != (e in pents)]
     return [
-        {"name": f"c31-always-even-n{n}", "passed": not bad31, "detail": {"odd_at": bad31[:10]}},
-        {"name": f"c41-odd-arguments-even-n{n}", "passed": not bad41, "detail": {"odd_at": bad41[:10]}},
-        {"name": f"c62-odd-iff-pentagonal-n{n}", "passed": not bad62, "detail": {"mismatch_at": bad62[:10]}},
+        {
+            "name": f"c31-always-even-n{n}",
+            "passed": not bad31,
+            "detail": {"odd_at": bad31[:10], "failure_count": len(bad31)},
+        },
+        {
+            "name": f"c41-odd-arguments-even-n{n}",
+            "passed": not bad41,
+            "detail": {"odd_at": bad41[:10], "failure_count": len(bad41)},
+        },
+        {
+            "name": f"c62-odd-iff-pentagonal-n{n}",
+            "passed": not bad62,
+            "detail": {"mismatch_at": bad62[:10], "mismatch_count": len(bad62)},
+        },
     ]
 
 
 def _suite_lemma1(cfg) -> list[dict]:
     params = SingularParams(cfg.k, cfg.i)
     table = tables.coefficients_theta(params, cfg.n_max)
-    mismatch = parity.first_convolution_mismatch(params, table)
-    bad = [
-        n
-        for n in range(1, cfg.n_max + 1)
-        if not parity.convolution_parity_check(params, n, table)
-    ]
+    wholesale = parity.convolution_mismatches(params, table)
+    bad = parity.convolution_parity_failures(params, table)
     return [
         {
             "name": f"convolution-wholesale-k{cfg.k}-i{cfg.i}-n{cfg.n_max}",
-            "passed": mismatch is None,
-            "detail": {"first_mismatch": mismatch},
+            "passed": not wholesale,
+            "detail": {
+                "first_mismatch": wholesale[0] if wholesale else None,
+                "mismatch_count": len(wholesale),
+            },
         },
         {
             "name": f"convolution-per-n-k{cfg.k}-i{cfg.i}-n{cfg.n_max}",
             "passed": not bad,
-            "detail": {"failures": bad[:10]},
+            "detail": {"failures": bad[:10], "failure_count": len(bad)},
         },
     ]
 
@@ -234,7 +245,10 @@ def _suite_exclusions(cfg) -> list[dict]:
             {
                 "name": f"{variant}-exclusion-p{cfg.p}-ell{cfg.ell_max}",
                 "passed": not bad,
-                "detail": {"counterexamples": bad[:10]},
+                "detail": {
+                    "counterexamples": bad[:10],
+                    "counterexample_count": len(bad),
+                },
             }
         )
     return checks
@@ -264,7 +278,11 @@ def _suite_intervals(cfg) -> list[dict]:
             {
                 "name": f"{variant}-witness-p{cfg.p}-ell{cfg.ell_max}",
                 "passed": not failures,
-                "detail": {"witnesses": found, "failures": failures},
+                "detail": {
+                    "witnesses": found,
+                    "failures": failures,
+                    "failure_count": len(failures),
+                },
             }
         )
     return checks
@@ -284,15 +302,17 @@ def _suite_all(cfg) -> list[dict]:
     return checks
 
 
+# Each suite with the configuration fields it reads; a report's config
+# block lists exactly those. "all" runs fixed sizes and reads none.
 _SUITES = {
-    "oracle": _suite_oracle,
-    "pipelines": _suite_pipelines,
-    "special-forms": _suite_special_forms,
-    "parity-facts": _suite_parity_facts,
-    "lemma1": _suite_lemma1,
-    "exclusions": _suite_exclusions,
-    "intervals": _suite_intervals,
-    "all": _suite_all,
+    "oracle": (_suite_oracle, ("k", "i", "n_max", "oracle_cap")),
+    "pipelines": (_suite_pipelines, ("k", "i", "n_max")),
+    "special-forms": (_suite_special_forms, ("k", "n_max")),
+    "parity-facts": (_suite_parity_facts, ("n_max",)),
+    "lemma1": (_suite_lemma1, ("k", "i", "n_max")),
+    "exclusions": (_suite_exclusions, ("p", "ell_max")),
+    "intervals": (_suite_intervals, ("p", "ell_max", "mode")),
+    "all": (_suite_all, ()),
 }
 
 
@@ -320,12 +340,9 @@ def cmd_verify(cfg: RunConfig, out) -> int:
             )
     if not 1 <= cfg.oracle_cap <= MAX_CAP:
         raise ParameterError(f"--oracle-cap must be in [1, {MAX_CAP}]")
-    checks = _SUITES[cfg.suite](cfg)
-    desc = {
-        key: getattr(cfg, key)
-        for key in ("k", "i", "p", "n_max", "ell_max", "mode")
-        if getattr(cfg, key) is not None
-    }
+    run_suite, fields = _SUITES[cfg.suite]
+    checks = run_suite(cfg)
+    desc = {key: getattr(cfg, key) for key in fields if getattr(cfg, key) is not None}
     return 0 if _emit_checks(cfg.suite, desc, checks, cfg.fmt, out) else 1
 
 

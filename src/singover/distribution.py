@@ -202,8 +202,8 @@ def interval_cover_check(
 
     Even variant searches [a_{2m}, a_{2m+1}] for even values, odd
     variant [2 a_j - 1, a_{j+1}] for odd values, for every term at or
-    below the cutoff. Upper endpoints beyond the table are clipped to
-    its degree; an interval whose lower endpoint is already past the
+    below the cutoff. Only intervals the table covers in full carry the
+    guarantee, so the first interval whose upper end lies past the
     table ends the walk. Every searched interval must yield a witness.
     """
     if variant not in _VARIANTS:
@@ -217,15 +217,10 @@ def interval_cover_check(
     a = seed
     while a <= cutoff:
         nxt = next_term(variant, a)
-        lo = a if variant == "even" else 2 * a - 1
-        if lo > table.trunc_degree:
+        if nxt > table.trunc_degree:
             break
-        hi = min(nxt, table.trunc_degree)
+        lo = a if variant == "even" else 2 * a - 1
         want_bit = 0 if variant == "even" else 1
-        witnesses.append(
-            _scan_interval(
-                params, table, lo, hi, want_bit, a, variant
-            )
-        )
+        witnesses.append(_scan_interval(params, table, lo, nxt, want_bit, a, variant))
         a = next_term(variant, nxt) if variant == "even" else nxt
     return witnesses

@@ -9,7 +9,8 @@ implemented here:
   witnesses.
 * ``convolution_parity_check`` verifies, per n, that the pentagonal
   convolution of table values has the parity of the theta coefficient
-  of q^n, which is the number of (m, sign) witnesses of n.
+  of q^n, which is the number of (m, sign) witnesses of n;
+  ``convolution_parity_failures`` runs it for every n of a table.
 * ``form_witness`` and the exclusion checks handle the quadratic-form
   question "is T = k m^2 +- m(k-2i) solvable" that gates the interval
   results.
@@ -104,35 +105,57 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         raise TableTooShortError(
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
-    total = table.value(n)  # s = 0 term of the first sum
+    return _convolution_holds(table.values, n, exceptional_set(params, n))
+
+
+def convolution_parity_failures(params: SingularParams, table) -> list[int]:
+    """Every n in 1..N at which ``convolution_parity_check`` fails.
+
+    The same per-n check, with one exceptional set to the table degree
+    and the table's parities read once for all n.
+    """
+    exceptional = exceptional_set(params, table.trunc_degree)
+    parities = [v & 1 for v in table.values]
+    return [
+        n
+        for n in range(1, table.trunc_degree + 1)
+        if not _convolution_holds(parities, n, exceptional)
+    ]
+
+
+def _convolution_holds(values, n: int, exceptional: ExceptionalForm) -> bool:
+    total = values[n]  # s = 0 term of the first sum
     s = 1
     while True:
         e = s * (3 * s - 1) // 2
         if e > n:
             break
-        total += table.value(n - e)
+        total += values[n - e]
         e = s * (3 * s + 1) // 2
         if e <= n:
-            total += table.value(n - e)
+            total += values[n - e]
         s += 1
-    return (total & 1) == (len(exceptional_set(params, n).witnesses(n)) & 1)
+    return (total & 1) == (len(exceptional.witnesses(n)) & 1)
 
 
-def first_convolution_mismatch(params: SingularParams, table) -> int | None:
+def convolution_mismatches(params: SingularParams, table) -> list[int]:
     """Wholesale form of the convolution check over the whole table.
 
     Multiplies the table series by (q;q), reduces mod 2 and compares
     against the theta numerator mod 2, coefficient by coefficient.
-    Returns the first mismatching degree, or None when the identity
-    holds through the truncation degree.
+    Returns every mismatching degree in increasing order; the list is
+    empty when the identity holds through the truncation degree.
     """
     n = table.trunc_degree
     lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table.series()))
     rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
-    diff = lhs.bits ^ rhs.bits
-    if diff == 0:
-        return None
-    return (diff & -diff).bit_length() - 1
+    return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
+
+
+def first_convolution_mismatch(params: SingularParams, table) -> int | None:
+    """The first degree ``convolution_mismatches`` returns, or None."""
+    bad = convolution_mismatches(params, table)
+    return bad[0] if bad else None
 
 
 def form_witness(k: int, i: int, target: int) -> tuple[int, int] | None:

@@ -174,17 +174,29 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     coefficients go through the general multiply-subtract.
     """
     _require_same_degree(s, t)
-    t0 = t.coeffs[0]
+    r = []
+    _div_extend(r, s.coeffs, t.coeffs)
+    return TruncSeriesZ(r)
+
+
+def _div_extend(r: list, sc, tc) -> None:
+    """Extend the quotient prefix r of sc / tc in place to len(sc) terms.
+
+    r[n] depends only on sc[0..n] and tc[0..n], so a quotient computed
+    at a lower truncation degree is the prefix of every higher one and
+    the substitution resumes where r ends; r = [] gives the whole
+    quotient. sc and tc are coefficient sequences of equal length.
+    """
+    t0 = tc[0]
     if t0 not in (1, -1):
         raise NonUnitDivisorError(f"divisor constant term must be +1 or -1, got {t0}")
-    n = s.trunc_degree
-    nz = [(j, c) for j, c in enumerate(t.coeffs) if c and j > 0]
+    start, n = len(r), len(sc) - 1
+    nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
     minus = [j for j, c in nz if c == -1]
     plus = [j for j, c in nz if c == 1]
     other = [(j, c) for j, c in nz if c not in (1, -1)]
-    r = [0] * (n + 1)
-    sc = s.coeffs
-    for e in range(n + 1):
+    r += [0] * (n + 1 - start)
+    for e in range(start, n + 1):
         acc = sc[e]
         for j in minus:
             if j > e:
@@ -199,7 +211,6 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
                 break
             acc -= c * r[e - j]
         r[e] = acc if t0 == 1 else -acc
-    return TruncSeriesZ(r)
 
 
 def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:

@@ -17,8 +17,12 @@ Three routes to the same numbers:
 ``parity_table`` is the mod-2 shortcut used by the witness searches: the
 same theta quotient carried out entirely in packed GF(2) arithmetic.
 
-Tables are memoized by (k, i, N) so the parity and distribution layers
-share one expansion; the caches are the plain thread-safe lru_cache.
+Each route keeps, per (k, i), the largest table built so far, so the
+parity and distribution layers share one expansion. A smaller request
+is a slice of it; a larger theta table resumes the forward substitution
+from the held degree, while product and parity tables are rebuilt. The
+stores hold at most STORE_BUDGET pairs each and are guarded by one lock
+per store, so the tables can be requested from several threads.
 
 Edge case: for even k with i = k/2 the residues +i and -i coincide and
 the product formula lists the same overline factor twice. All pipelines
@@ -29,8 +33,9 @@ the brute-force oracle is the authority on the combinatorial object.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import oracle as _oracle
 from . import qseries as qs
@@ -104,53 +109,102 @@ class ParityTable:
         return ParityTable(self.params, self.bits & mask, trunc_degree, self.source)
 
 
-@lru_cache(maxsize=None)
-def _product_values(k: int, i: int, trunc_degree: int) -> tuple[int, ...]:
+# Most (k, i) pairs one route's store holds; past it the least recently
+# used pair is dropped.
+STORE_BUDGET = 32
+
+
+class _TableStore:
+    """The largest table built so far for each (k, i) of one route.
+
+    A request at or below the held degree is the held table truncated.
+    A larger one calls ``grow(params, n, held)``, with the held table or
+    None, and the result replaces the held table. At most STORE_BUDGET
+    pairs are held, one table each. One lock serializes every lookup
+    and build, so concurrent callers never see a half-updated store.
+    """
+
+    def __init__(self, grow):
+        self._grow = grow
+        self._held = OrderedDict()  # params -> table, least recently used first
+        self._lock = threading.Lock()
+
+    def get(self, params: SingularParams, trunc_degree: int):
+        if trunc_degree < 0:
+            raise ParameterError("truncation degree must be nonnegative")
+        with self._lock:
+            held = self._held.get(params)
+            if held is not None and trunc_degree <= held.trunc_degree:
+                table = held.truncate(trunc_degree)
+            else:
+                table = self._grow(params, trunc_degree, held)
+                self._held[params] = table
+            self._held.move_to_end(params)
+            if len(self._held) > STORE_BUDGET:
+                self._held.popitem(last=False)
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __contains__(self, params) -> bool:
+        return params in self._held
+
+
+def _grow_product(params, trunc_degree, held) -> CoeffTable:
+    k, i = params.k, params.i
     num = list(qs.eta_product(k, trunc_degree).coeffs)
     # At i = k/2 both calls apply the same factors: the formula lists the
     # overline factor twice and this route follows it literally.
     qs._mul_pochhammer_neg(num, i, k)
     qs._mul_pochhammer_neg(num, k - i, k)
-    return qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree)).coeffs
+    values = qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree)).coeffs
+    return CoeffTable(params, values, "product")
 
 
-@lru_cache(maxsize=None)
-def _theta_values(k: int, i: int, trunc_degree: int) -> tuple[int, ...]:
-    return qs.div(
-        qs.theta_sum(k, i, trunc_degree), qs.eta_product(1, trunc_degree)
-    ).coeffs
+def _grow_theta(params, trunc_degree, held) -> CoeffTable:
+    num = qs.theta_sum(params.k, params.i, trunc_degree)
+    den = qs.eta_product(1, trunc_degree)
+    if held is None:
+        return CoeffTable(params, qs.div(num, den).coeffs, "theta")
+    # The quotient is prefix-stable, so a held table is resumed, not redone.
+    values = list(held.values)
+    qs._div_extend(values, num.coeffs, den.coeffs)
+    return CoeffTable(params, tuple(values), "theta")
 
 
-@lru_cache(maxsize=None)
-def _parity_bits(k: int, i: int, trunc_degree: int) -> int:
-    theta = qs.reduce_mod2(qs.theta_sum(k, i, trunc_degree))
+def _grow_parity(params, trunc_degree, held) -> ParityTable:
+    theta = qs.reduce_mod2(qs.theta_sum(params.k, params.i, trunc_degree))
     penta = qs.reduce_mod2(qs.eta_product(1, trunc_degree))
-    return qs.mul_f2(theta, qs.inv_f2(penta)).bits
+    bits = qs.mul_f2(theta, qs.inv_f2(penta)).bits
+    return ParityTable(params, bits, trunc_degree, "theta")
+
+
+# Product and parity tables are rebuilt at a larger degree: no caller
+# extends them, and a parity table is cheap to rebuild. The product and
+# theta stores stay apart, because their agreement is the cross-check.
+_PRODUCT = _TableStore(_grow_product)
+_THETA = _TableStore(_grow_theta)
+_PARITY = _TableStore(_grow_parity)
 
 
 def coefficients_product(params: SingularParams, trunc_degree: int) -> CoeffTable:
     """Table from the defining product quotient."""
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
-    return CoeffTable(
-        params, _product_values(params.k, params.i, trunc_degree), "product"
-    )
+    return _PRODUCT.get(params, trunc_degree)
 
 
 def coefficients_theta(params: SingularParams, trunc_degree: int) -> CoeffTable:
     """Table from the theta-numerator quotient (the fast exact route)."""
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
-    return CoeffTable(params, _theta_values(params.k, params.i, trunc_degree), "theta")
+    return _THETA.get(params, trunc_degree)
 
 
 def parity_table(params: SingularParams, trunc_degree: int) -> ParityTable:
     """Mod-2 table via the packed GF(2) theta quotient."""
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
-    return ParityTable(
-        params, _parity_bits(params.k, params.i, trunc_degree), trunc_degree, "theta"
-    )
+    return _PARITY.get(params, trunc_degree)
 
 
 # Reduced eta-quotients, as (modulus multiple, numerator eta steps,
@@ -197,7 +251,6 @@ def oracle_table(
 
 
 def clear_caches() -> None:
-    """Drop all memoized tables (used by timing measurements)."""
-    _product_values.cache_clear()
-    _theta_values.cache_clear()
-    _parity_bits.cache_clear()
+    """Drop every stored table (used by timing measurements)."""
+    for store in (_PRODUCT, _THETA, _PARITY):
+        store.clear()

@@ -225,3 +225,53 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["values"][-1] == "10"
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["--suite", "intervals", "--ell-max", "10"], {"p": 5, "ell_max": 10, "mode": "single"}),
+        (["--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "30"], {"k": 4, "i": 2, "n_max": 30}),
+        (
+            ["--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "8"],
+            {"k": 5, "i": 1, "n_max": 8, "oracle_cap": cli.DEFAULT_CAP},
+        ),
+        (["--suite", "parity-facts", "--n-max", "50"], {"n_max": 50}),
+        (["--suite", "exclusions", "--p", "7", "--ell-max", "40"], {"p": 7, "ell_max": 40}),
+        (["--suite", "all"], {}),
+    ],
+)
+def test_verify_config_lists_the_fields_the_suite_reads(argv, config, capsys):
+    code, out, _ = run_cli(["verify", *argv], capsys)
+    assert code == 0
+    assert json.loads(out)["config"] == config
+
+
+def test_verify_every_check_reports_a_total_count(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
+    assert code == 0
+    for check in json.loads(out)["checks"]:
+        counts = [key for key in check["detail"] if key.endswith("_count")]
+        assert len(counts) == 1 and check["detail"][counts[0]] == 0, check["name"]
+
+
+def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.parity, "exclusion_counterexamples", lambda p, e, v: list(range(4, 100, 3))
+    )
+    code, out, _ = run_cli(
+        ["verify", "--suite", "exclusions", "--p", "5", "--ell-max", "100"], capsys
+    )
+    assert code == 1
+    detail = json.loads(out)["checks"][0]["detail"]
+    assert detail == {"counterexamples": list(range(4, 34, 3)), "counterexample_count": 32}
+    monkeypatch.setattr(
+        cli.parity, "convolution_parity_failures", lambda params, table: list(range(1, 16))
+    )
+    code, out, _ = run_cli(
+        ["verify", "--suite", "lemma1", "--k", "3", "--i", "1", "--n-max", "20"], capsys
+    )
+    assert code == 1
+    wholesale, per_n = json.loads(out)["checks"]
+    assert wholesale["detail"] == {"first_mismatch": None, "mismatch_count": 0}
+    assert per_n["detail"] == {"failures": list(range(1, 11)), "failure_count": 15}

@@ -131,7 +131,8 @@ def test_interval_cover_even():
     params = SingularParams(5, 1)
     table = parity_table(params, 2000)
     witnesses = interval_cover_check("even", 4, 1500, params, table)
-    assert [(w.lo, w.hi) for w in witnesses] == [(4, 26), (1027, 2000)]
+    # [1027, 1582607] lies past the table, so the walk ends before it
+    assert [(w.lo, w.hi) for w in witnesses] == [(4, 26)]
     exact = coefficients_theta(params, 2000)
     for w in witnesses:
         assert w.lo <= w.n <= w.hi
@@ -149,12 +150,19 @@ def test_interval_cover_odd():
 
 
 def test_interval_cover_clipped_to_table():
+    # an interval is searched only when the table covers all of it
     params = SingularParams(5, 1)
-    table = parity_table(params, 4)
-    witnesses = interval_cover_check("odd", 2, 4, params, table)
-    assert len(witnesses) == 1
-    assert (witnesses[0].lo, witnesses[0].hi) == (3, 4)  # upper end clipped
-    assert witnesses[0].parity == "odd"
+    assert interval_cover_check("odd", 2, 4, params, parity_table(params, 4)) == []
+    witnesses = interval_cover_check("odd", 2, 4, params, parity_table(params, 5))
+    assert [(w.lo, w.hi, w.parity) for w in witnesses] == [(3, 5, "odd")]
+
+
+def test_interval_cover_ends_before_a_partial_interval():
+    # cut to [4, 5], the interval [4, 26] has no even value and no
+    # guarantee; it used to raise a false DiscrepancyError
+    params = SingularParams(5, 1)
+    table = parity_table(params, 5)
+    assert interval_cover_check("even", 4, 10**6, params, table) == []
 
 
 def test_interval_cover_validation():

@@ -44,10 +44,18 @@ def test_mul_f2_degree_mismatch():
         mul_f2(TruncSeriesF2(1, 2), TruncSeriesF2(1, 3))
 
 
+def _pack16(coeffs):
+    """Kronecker substitution q = 2^16 for coefficients in [0, 2^16)."""
+    return int.from_bytes(b"".join(c.to_bytes(2, "little") for c in coeffs), "little")
+
+
 def test_mul_f2_against_integer_path_bulk():
     # 1000 seeded random pairs at degree 512, with random integer lifts
     # of each bit pattern; the packed product must equal the reduction
-    # of the exact integer product.
+    # of the exact integer product. The reference product is one big
+    # integer multiply of the lifts packed in 16-bit lanes: a product
+    # coefficient is at most 513 * 5 * 5 < 2^16, so no lane carries
+    # into the next and lane e holds the exact coefficient of q^e.
     rng = random.Random(0x5E12)
     n = 512
     for _ in range(1000):
@@ -56,7 +64,8 @@ def test_mul_f2_against_integer_path_bulk():
         lift_s = [((sbits >> e) & 1) + 2 * rng.randrange(3) for e in range(n + 1)]
         lift_t = [((tbits >> e) & 1) + 2 * rng.randrange(3) for e in range(n + 1)]
         fast = mul_f2(TruncSeriesF2(sbits, n), TruncSeriesF2(tbits, n))
-        exact = reduce_mod2(mul(TruncSeriesZ(lift_s), TruncSeriesZ(lift_t)))
+        lanes = (_pack16(lift_s) * _pack16(lift_t)).to_bytes(4 * (n + 1), "little")
+        exact = TruncSeriesF2.from_bits([b & 1 for b in lanes[0 : 2 * (n + 1) : 2]], n)
         assert fast == exact
 
 

@@ -12,7 +12,9 @@ from singover.errors import (
 )
 from singover.params import SingularParams
 from singover.parity import (
+    convolution_mismatches,
     convolution_parity_check,
+    convolution_parity_failures,
     even_exclusion_holds,
     exceptional_set,
     exclusion_counterexamples,
@@ -95,6 +97,24 @@ def test_wholesale_convolution(k, i):
     params = SingularParams(k, i)
     table = coefficients_theta(params, 240)
     assert first_convolution_mismatch(params, table) is None
+
+
+@pytest.mark.parametrize("k,i", [(3, 1), (4, 2), (7, 3)])
+def test_convolution_failures_match_the_per_n_check(k, i):
+    # the whole-table per-n check and the wholesale check find exactly
+    # the degrees the single-n check rejects, on a true table and on one
+    # with a single parity flipped
+    params = SingularParams(k, i)
+    table = coefficients_theta(params, 120)
+    assert convolution_parity_failures(params, table) == []
+    values = list(table.values)
+    values[40] += 1
+    bad_table = CoeffTable(params, tuple(values), "theta")
+    per_n = [n for n in range(1, 121) if not convolution_parity_check(params, n, bad_table)]
+    assert 40 in per_n
+    assert convolution_parity_failures(params, bad_table) == per_n
+    assert convolution_mismatches(params, bad_table) == per_n
+    assert first_convolution_mismatch(params, bad_table) == 40
 
 
 def test_convolution_requires_positive_n_and_coverage():

@@ -1,14 +1,31 @@
 """Coefficient tables: pipeline agreement, special forms, oracle equality."""
 
-import pytest
+import random
+import sys
+import threading
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singover import tables
 from singover.cli import CAP_EXACT
 from singover.errors import ParameterError, TableTooShortError
 from singover.oracle import enumerate_overpartitions
 from singover.params import SingularParams
-from singover.qseries import TruncSeriesZ, div, eta_product, mul, pochhammer_neg
+from singover.qseries import (
+    TruncSeriesZ,
+    div,
+    eta_product,
+    mul,
+    pochhammer_neg,
+    reduce_mod2,
+    theta_sum,
+)
 from singover.tables import (
+    STORE_BUDGET,
     CoeffTable,
+    clear_caches,
     coefficients_product,
     coefficients_theta,
     oracle_table,
@@ -158,3 +175,143 @@ def test_coeff_table_series_roundtrip():
     table = coefficients_theta(SingularParams(3, 1), 12)
     assert isinstance(table.series(), TruncSeriesZ)
     assert table.series().coeffs == table.values
+
+
+# --- the per-(k, i) table stores ---------------------------------------------
+
+ROUTES = {
+    "theta": (coefficients_theta, tables._THETA),
+    "product": (coefficients_product, tables._PRODUCT),
+    "parity": (parity_table, tables._PARITY),
+}
+
+
+def _fresh(route, params, n):
+    """The table a request must return, built without any held table."""
+    if route == "product":
+        clear_caches()
+        return coefficients_product(params, n).values
+    exact = div(theta_sum(params.k, params.i, n), eta_product(1, n)).coeffs
+    if route == "theta":
+        return exact
+    return reduce_mod2(TruncSeriesZ(exact)).bits
+
+
+def _served(route, params, n):
+    table = ROUTES[route][0](params, n)
+    assert table.params == params and table.trunc_degree == n
+    return table.bits if route == "parity" else table.values
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_store_serves_fresh_tables(route, data):
+    # request sequences over two or three pairs, degrees going up, down
+    # and repeating, with the stores sometimes cleared in between
+    pairs = data.draw(
+        st.lists(st.sampled_from(ADMISSIBLE_PARAMS), min_size=1, max_size=3, unique=True)
+    )
+    requests = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), st.integers(0, 160), st.booleans()),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    expected = [_fresh(route, SingularParams(*ki), n) for ki, n, _ in requests]
+    clear_caches()
+    for (ki, n, clear_first), want in zip(requests, expected):
+        if clear_first:
+            clear_caches()
+        assert _served(route, SingularParams(*ki), n) == want
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_store_truncates_and_extends_at_half_k(route):
+    params = SingularParams(8, 4)
+    expected = {n: _fresh(route, params, n) for n in (0, 1, 120, 300, 301)}
+    clear_caches()
+    for n in (300, 120, 301, 1, 0, 301):
+        assert _served(route, params, n) == expected[n]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_store_evicts_least_recently_used(route):
+    build, store = ROUTES[route]
+    pairs = [SingularParams(*ki) for ki in ADMISSIBLE_PARAMS[: STORE_BUDGET + 2]]
+    clear_caches()
+    for params in pairs[:STORE_BUDGET]:
+        build(params, 10)
+    build(pairs[0], 5)  # a use of the oldest pair makes pairs[1] the oldest
+    build(pairs[STORE_BUDGET], 10)
+    assert len(store) == STORE_BUDGET
+    assert pairs[0] in store and pairs[1] not in store
+    build(pairs[STORE_BUDGET + 1], 10)
+    assert len(store) == STORE_BUDGET
+    assert pairs[2] not in store and pairs[STORE_BUDGET + 1] in store
+
+
+def test_clear_caches_empties_every_store():
+    for build, _ in ROUTES.values():
+        for k, i in ADMISSIBLE_PARAMS[:5]:
+            build(SingularParams(k, i), 40)
+    clear_caches()
+    assert all(len(store) == 0 for _, store in ROUTES.values())
+
+
+def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
+    # an extension divides only the new degrees: the prefix is kept
+    params = SingularParams(7, 2)
+    clear_caches()
+    low = coefficients_theta(params, 200)
+    calls = []
+    real = tables.qs._div_extend
+    monkeypatch.setattr(
+        tables.qs, "_div_extend", lambda r, s, t: calls.append(len(r)) or real(r, s, t)
+    )
+    high = coefficients_theta(params, 500)
+    assert calls == [201]
+    assert high.values[:201] == low.values
+    assert high.values == _fresh("theta", params, 500)
+
+
+def test_store_under_concurrent_requests():
+    # more threads than cores and more pairs than the budget, so that
+    # builds, truncations and evictions of one store interleave; a lost
+    # or torn update would raise or serve a wrong table
+    pairs = [SingularParams(*ki) for ki in ADMISSIBLE_PARAMS[: STORE_BUDGET + 4]]
+    expected = {(p, route): _fresh(route, p, 60) for p in pairs for route in ROUTES}
+    clear_caches()
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(600):
+                route, params = rng.choice(sorted(ROUTES)), rng.choice(pairs)
+                n = rng.randint(0, 60)
+                got = _served(route, params, n)
+                want = expected[params, route]
+                if route == "parity":
+                    want &= (1 << (n + 1)) - 1
+                else:
+                    want = want[: n + 1]
+                if got != want:
+                    errors.append((route, params, n))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(len(store) <= STORE_BUDGET for _, store in ROUTES.values())
