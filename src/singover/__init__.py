@@ -13,7 +13,6 @@ from .distribution import (
     DensityReport,
     WitnessSequence,
     build_sequence,
-    interval_cover_check,
     next_term,
     parity_census,
 )
@@ -31,7 +30,6 @@ from .oracle import (
     DEFAULT_CAP,
     OverpartitionCount,
     count_by_backtracking,
-    count_by_dp,
     enumerate_overpartitions,
 )
 from .params import SingularParams
@@ -39,16 +37,12 @@ from .parity import (
     ExceptionalForm,
     ParityWitness,
     convolution_parity_check,
-    even_exclusion_holds,
     exceptional_set,
     exclusion_counterexamples,
     find_even_in_interval,
     find_odd_in_interval,
     first_convolution_mismatch,
-    form_values,
     form_witness,
-    is_form_value,
-    odd_exclusion_holds,
 )
 from .qseries import (
     TruncSeriesF2,
@@ -70,7 +64,6 @@ from .tables import (
     clear_caches,
     coefficients_product,
     coefficients_theta,
-    oracle_table,
     parity_table,
     special_form,
 )
@@ -104,28 +97,21 @@ __all__ = [
     "coefficients_theta",
     "convolution_parity_check",
     "count_by_backtracking",
-    "count_by_dp",
     "div",
     "div_f2",
     "enumerate_overpartitions",
     "eta_product",
-    "even_exclusion_holds",
     "exceptional_set",
     "exclusion_counterexamples",
     "find_even_in_interval",
     "find_odd_in_interval",
     "first_convolution_mismatch",
-    "form_values",
     "form_witness",
     "generalized_pentagonals",
-    "interval_cover_check",
     "inv_f2",
-    "is_form_value",
     "mul",
     "mul_f2",
     "next_term",
-    "odd_exclusion_holds",
-    "oracle_table",
     "parity_census",
     "parity_table",
     "pochhammer_neg",

@@ -461,10 +461,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name) and getattr(args, name) is not None:
             fields[name] = getattr(args, name)
     cfg = RunConfig(command=args.command, **fields)
-    needs = {"compute": ("k", "i", "n_max"), "density": ("p", "x"), "verify": ("suite",)}
-    for field in needs[cfg.command]:
-        if getattr(cfg, field) is None:
-            raise ParameterError(f"--{field.replace('_', '-')} is required")
     suite_needs = {"oracle": ("k", "i"), "pipelines": ("k", "i"), "lemma1": ("k", "i")}
     if cfg.command == "verify":
         for field in suite_needs.get(cfg.suite, ()):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DiscrepancyError, ParameterError, TableTooShortError
 from .params import SingularParams
-from .parity import ParityWitness, _is_prime, _scan_interval
-from .tables import CoeffTable, ParityTable
+from .parity import ParityWitness, _require_prime, _scan_interval
+from .tables import ParityTable
 
 _VARIANTS = ("even", "odd")
 # Index of the first term: the even variant is written a_0, a_1, ...,
@@ -91,13 +91,7 @@ class WitnessSequence:
         return True
 
 
-def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
-    """Iterate the recurrence from the seed until the next term passes X.
-
-    The even variant needs seed = 1 mod 3, the odd variant seed = 2
-    mod 3, both >= 2; the mod-3 residues then keep every generated
-    interval eligible for its parity-witness guarantee.
-    """
+def _check_seed(variant: str, seed: int) -> None:
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
     if seed < 2 or seed % 3 != _SEED_RESIDUE[variant]:
@@ -105,6 +99,16 @@ def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
             f"{variant} variant needs a seed >= 2 with seed = "
             f"{_SEED_RESIDUE[variant]} mod 3, got {seed}"
         )
+
+
+def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
+    """Iterate the recurrence from the seed until the next term passes X.
+
+    The even variant needs seed = 1 mod 3, the odd variant seed = 2
+    mod 3, both >= 2; the mod-3 residues then keep every generated
+    interval eligible for its parity-witness guarantee.
+    """
+    _check_seed(variant, seed)
     if cutoff < seed:
         raise ParameterError(f"cutoff {cutoff} is below the seed {seed}")
     terms = [seed]
@@ -158,8 +162,7 @@ def parity_census(
     witness sequence; a violation raises DiscrepancyError carrying the
     failing report.
     """
-    if not _is_prime(p) or p < 5:
-        raise ParameterError(f"p must be a prime >= 5, got {p}")
+    _require_prime(p)
     if cutoff < 1:
         raise ParameterError(f"X must be >= 1, got {cutoff}")
     if table.params != SingularParams(p, 1):
@@ -206,13 +209,7 @@ def interval_cover_check(
     guarantee, so the first interval whose upper end lies past the
     table ends the walk. Every searched interval must yield a witness.
     """
-    if variant not in _VARIANTS:
-        raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
-    if seed < 2 or seed % 3 != _SEED_RESIDUE[variant]:
-        raise ParameterError(
-            f"{variant} variant needs a seed >= 2 with seed = "
-            f"{_SEED_RESIDUE[variant]} mod 3, got {seed}"
-        )
+    _check_seed(variant, seed)
     witnesses = []
     a = seed
     while a <= cutoff:

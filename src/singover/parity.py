@@ -2,18 +2,20 @@
 
 The backbone is a mod-2 identity: multiplying the generating function by
 (q;q) leaves the sparse theta numerator, whose positive exponents are
-exactly the values (k m^2 +- m(k-2i))/2 with m >= 1. Consequences
-implemented here:
+exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
+``qseries.form_exponents``. Consequences implemented here:
 
-* ``exceptional_set`` enumerates those exponents with their (m, sign)
+* ``exceptional_set`` collects those exponents with their (m, sign)
   witnesses.
 * ``convolution_parity_check`` verifies, per n, that the pentagonal
   convolution of table values has the parity of the theta coefficient
   of q^n, which is the number of (m, sign) witnesses of n;
-  ``convolution_parity_failures`` runs it for every n of a table.
-* ``form_witness`` and the exclusion checks handle the quadratic-form
-  question "is T = k m^2 +- m(k-2i) solvable" that gates the interval
-  results.
+  ``convolution_parity_failures`` runs it for every n of a table,
+  walking the pentagonal offsets once.
+* ``form_witness`` answers "is T = k m^2 +- m(k-2i) for some m >= 1"
+  in closed form, with one integer square root. It gates the interval
+  results, and ``exclusion_counterexamples`` asks it for every l of the
+  form exclusions l(3l +- 1).
 * ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
 
@@ -26,6 +28,7 @@ admissible (k, i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import qseries as qs
@@ -49,17 +52,8 @@ class ExceptionalForm:
         self.params = params
         self.bound = bound
         self._witnesses: dict[int, list[tuple[int, int]]] = {}
-        k, d = params.k, params.k - 2 * params.i
-        m = 1
-        while True:
-            lo = (k * m * m - m * d) // 2
-            if lo > bound:
-                break
-            self._witnesses.setdefault(lo, []).append((m, -1))
-            hi = (k * m * m + m * d) // 2
-            if hi <= bound:
-                self._witnesses.setdefault(hi, []).append((m, +1))
-            m += 1
+        for e, m, sign in qs.form_exponents(params.k, params.i, bound):
+            self._witnesses.setdefault(e, []).append((m, sign))
 
     def __contains__(self, n: int) -> bool:
         return n in self._witnesses
@@ -105,36 +99,39 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         raise TableTooShortError(
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
-    return _convolution_holds(table.values, n, exceptional_set(params, n))
+    return _convolution_holds(
+        table.values, n, _pentagonal_offsets(n), exceptional_set(params, n)
+    )
 
 
 def convolution_parity_failures(params: SingularParams, table) -> list[int]:
     """Every n in 1..N at which ``convolution_parity_check`` fails.
 
-    The same per-n check, with one exceptional set to the table degree
-    and the table's parities read once for all n.
+    The same per-n check, with one exceptional set and one list of
+    pentagonal offsets to the table degree, and the table's parities
+    read once for all n.
     """
     exceptional = exceptional_set(params, table.trunc_degree)
+    offsets = _pentagonal_offsets(table.trunc_degree)
     parities = [v & 1 for v in table.values]
     return [
         n
         for n in range(1, table.trunc_degree + 1)
-        if not _convolution_holds(parities, n, exceptional)
+        if not _convolution_holds(parities, n, offsets, exceptional)
     ]
 
 
-def _convolution_holds(values, n: int, exceptional: ExceptionalForm) -> bool:
+def _pentagonal_offsets(bound: int) -> list[int]:
+    """The positive generalized pentagonals up to the bound, increasing."""
+    return [e for e, _, _ in qs.form_exponents(3, 1, bound)]
+
+
+def _convolution_holds(values, n: int, offsets, exceptional: ExceptionalForm) -> bool:
     total = values[n]  # s = 0 term of the first sum
-    s = 1
-    while True:
-        e = s * (3 * s - 1) // 2
+    for e in offsets:
         if e > n:
             break
         total += values[n - e]
-        e = s * (3 * s + 1) // 2
-        if e <= n:
-            total += values[n - e]
-        s += 1
     return (total & 1) == (len(exceptional.witnesses(n)) & 1)
 
 
@@ -159,118 +156,57 @@ def first_convolution_mismatch(params: SingularParams, table) -> int | None:
 
 
 def form_witness(k: int, i: int, target: int) -> tuple[int, int] | None:
-    """Smallest m >= 1 with k m^2 +- m(k-2i) = target, or None.
+    """Smallest m >= 1 with k m^2 +- m(k-2i) = target, as (m, sign), or None.
 
-    Scans m upward while the minus branch stays <= target; that branch
-    is increasing in m, so the scan is exhaustive without any square
-    roots. Returns (m, sign).
+    With d = k - 2i, both signs solve to m = (r -+ d) / 2k where
+    r^2 = d^2 + 4 k target, so one integer square root decides. The
+    two roots differ by d/k < 1, so for i < k/2 at most one is an
+    integer; at i = k/2 they coincide and the minus sign is reported.
     """
-    if not isinstance(k, int) or k < 3:
-        raise ParameterError(f"modulus k must be an integer >= 3, got {k}")
-    if not 1 <= i <= k // 2:
-        raise ParameterError(f"residue i must satisfy 1 <= i <= floor(k/2), got {i}")
+    SingularParams(k, i)  # validates (k, i)
     if target < 1:
         raise ParameterError(f"target must be positive, got {target}")
     d = k - 2 * i
-    m = 1
-    while True:
-        lo = k * m * m - m * d
-        if lo > target:
-            return None
-        if lo == target:
-            return (m, -1)
-        if k * m * m + m * d == target:
-            return (m, +1)
-        m += 1
+    disc = d * d + 4 * k * target
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return None
+    # r > d because target >= 1, so a root divisible by 2k has m >= 1
+    for sign in (-1, +1):
+        m, rest = divmod(r - sign * d, 2 * k)
+        if not rest:
+            return (m, sign)
+    return None
 
 
-def is_form_value(k: int, i: int, target: int) -> bool:
-    return form_witness(k, i, target) is not None
-
-
-def form_values(k: int, i: int, bound: int) -> frozenset[int]:
-    """Every value k m^2 +- m(k-2i) <= bound, m >= 1, in one batch.
-
-    Same scan as ``form_witness`` but collecting values; bulk exclusion
-    checks test membership here instead of rescanning per target.
-    """
-    if not isinstance(k, int) or k < 3:
-        raise ParameterError(f"modulus k must be an integer >= 3, got {k}")
-    if not 1 <= i <= k // 2:
-        raise ParameterError(f"residue i must satisfy 1 <= i <= floor(k/2), got {i}")
-    d = k - 2 * i
-    out = set()
-    m = 1
-    while True:
-        lo = k * m * m - m * d
-        if lo > bound:
-            return frozenset(out)
-        out.add(lo)
-        hi = k * m * m + m * d
-        if hi <= bound:
-            out.add(hi)
-        m += 1
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _check_prime_ell(p: int, ell: int, residue: int) -> None:
-    if not _is_prime(p) or p < 5:
+def _require_prime(p: int) -> None:
+    """Raise ParameterError unless p is a prime >= 5."""
+    if p < 5 or p % 2 == 0 or any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
         raise ParameterError(f"p must be a prime >= 5, got {p}")
-    if ell < 2:
-        raise ParameterError(f"l must be >= 2, got {ell}")
-    if ell % 3 != residue:
-        raise ParameterError(f"l must be {residue} mod 3, got {ell} = {ell % 3} mod 3")
-
-
-def even_exclusion_holds(p: int, ell: int) -> bool:
-    """True when l(3l+1) is not of the form p m^2 +- m(p-2).
-
-    Holds for every prime p >= 5 and l = 1 mod 3; a False return is a
-    counterexample to a proven statement and should be reported.
-    """
-    _check_prime_ell(p, ell, 1)
-    return not is_form_value(p, 1, ell * (3 * ell + 1))
-
-
-def odd_exclusion_holds(p: int, ell: int) -> bool:
-    """True when l(3l-1) is not of the form p m^2 +- m(p-2)."""
-    _check_prime_ell(p, ell, 2)
-    return not is_form_value(p, 1, ell * (3 * ell - 1))
 
 
 def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     """All l <= ell_max in the admissible residue class failing exclusion.
 
-    The expected result is the empty list. Uses one batched form-value
-    set per prime, so scanning l <= 10^4 takes well under a second.
+    The even variant asks that l(3l+1), l = 1 mod 3, and the odd variant
+    that l(3l-1), l = 2 mod 3, is not p m^2 +- m(p-2) for any m >= 1.
+    Both hold for every prime p >= 5, so the expected result is the
+    empty list; each l costs one ``form_witness`` root.
     """
     if variant == "even":
-        residue, t_of = 1, (lambda l: l * (3 * l + 1))
+        start, sign = 4, +1  # smallest l >= 2 with l = 1 mod 3
     elif variant == "odd":
-        residue, t_of = 2, (lambda l: l * (3 * l - 1))
+        start, sign = 2, -1
     else:
         raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
-    if not _is_prime(p) or p < 5:
-        raise ParameterError(f"p must be a prime >= 5, got {p}")
+    _require_prime(p)
     if ell_max < 2:
         raise ParameterError(f"ell_max must be >= 2, got {ell_max}")
-    start = residue if residue >= 2 else 4  # smallest admissible l >= 2
-    values = form_values(p, 1, t_of(ell_max))
-    return [l for l in range(start, ell_max + 1, 3) if t_of(l) in values]
+    return [
+        l
+        for l in range(start, ell_max + 1, 3)
+        if form_witness(p, 1, l * (3 * l + sign)) is not None
+    ]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .errors import (
     NonUnitDivisorError,
     ParameterError,
 )
+from .params import SingularParams
 
 
 class TruncSeriesZ:
@@ -213,6 +214,29 @@ def _div_extend(r: list, sc, tc) -> None:
         r[e] = acc if t0 == 1 else -acc
 
 
+def form_exponents(k: int, i: int, bound: int):
+    """Yield (e, m, sign) for every e = (k m^2 + sign m(k-2i))/2 <= bound.
+
+    m runs over m >= 1 and sign over -1, then +1. With 1 <= i <= k/2
+    the exponents come in nondecreasing order: the minus branch is
+    increasing in m and each plus value lies between its minus value
+    and the next one, so the walk stops at the first minus value past
+    the bound. The pair (3, 1) gives the generalized pentagonals and
+    (3m, m) the exponents m j(3j -+ 1)/2 of (q^m; q^m).
+    """
+    d = k - 2 * i
+    m = 1
+    while True:
+        lo = (k * m * m - m * d) // 2
+        if lo > bound:
+            return
+        yield lo, m, -1
+        hi = lo + m * d
+        if hi <= bound:
+            yield hi, m, +1
+        m += 1
+
+
 def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
     """The product (q^m; q^m)_inf truncated at the given degree.
 
@@ -226,17 +250,8 @@ def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
         raise ParameterError("truncation degree must be nonnegative")
     coeffs = [0] * (trunc_degree + 1)
     coeffs[0] = 1
-    j = 1
-    while True:
-        e1 = m * j * (3 * j - 1) // 2
-        if e1 > trunc_degree:
-            break
-        sign = -1 if j % 2 else 1
-        coeffs[e1] += sign
-        e2 = m * j * (3 * j + 1) // 2
-        if e2 <= trunc_degree:
-            coeffs[e2] += sign
-        j += 1
+    for e, j, _ in form_exponents(3 * m, m, trunc_degree):
+        coeffs[e] += -1 if j % 2 else 1
     return TruncSeriesZ(coeffs)
 
 
@@ -268,49 +283,26 @@ def theta_sum(k: int, i: int, trunc_degree: int) -> TruncSeriesZ:
     """Theta numerator of the singular overpartition generating function.
 
     sum_{n>=0} q^(k(n^2-n)/2 + in) + sum_{n>=1} q^(k(n^2+n)/2 - in),
-    truncated. The coefficient of q^e counts the representations of e
-    by the two exponent families; for i < k/2 every positive exponent
-    occurs at most once, while i = k/2 makes the families coincide and
-    each exponent is hit twice.
+    truncated: 1 plus one term per ``form_exponents`` value. The
+    coefficient of q^e counts the representations of e by the two
+    exponent families; for i < k/2 every positive exponent occurs at
+    most once, while i = k/2 makes the families coincide and each
+    exponent is hit twice.
     """
-    if not isinstance(k, int) or k < 3:
-        raise ParameterError(f"modulus k must be an integer >= 3, got {k}")
-    if not 1 <= i <= k // 2:
-        raise ParameterError(f"residue i must satisfy 1 <= i <= floor(k/2), got {i}")
+    SingularParams(k, i)  # validates (k, i)
     if trunc_degree < 0:
         raise ParameterError("truncation degree must be nonnegative")
     coeffs = [0] * (trunc_degree + 1)
-    n = 0
-    while True:
-        e = k * (n * n - n) // 2 + i * n
-        if e > trunc_degree:
-            break
+    coeffs[0] = 1
+    for e, _, _ in form_exponents(k, i, trunc_degree):
         coeffs[e] += 1
-        n += 1
-    n = 1
-    while True:
-        e = k * (n * n + n) // 2 - i * n
-        if e > trunc_degree:
-            break
-        coeffs[e] += 1
-        n += 1
     return TruncSeriesZ(coeffs)
 
 
 def generalized_pentagonals(bound: int, include_zero: bool = False) -> frozenset[int]:
     """All m(3m +- 1)/2 with m >= 1 up to the bound (optionally with 0)."""
-    out = {0} if include_zero else set()
-    m = 1
-    while True:
-        lo = m * (3 * m - 1) // 2
-        if lo > bound:
-            break
-        out.add(lo)
-        hi = m * (3 * m + 1) // 2
-        if hi <= bound:
-            out.add(hi)
-        m += 1
-    return frozenset(out)
+    out = frozenset(e for e, _, _ in form_exponents(3, 1, bound))
+    return out | {0} if include_zero else out
 
 
 def reduce_mod2(s: TruncSeriesZ) -> TruncSeriesF2:

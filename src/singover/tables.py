@@ -180,8 +180,7 @@ def _grow_theta(params, trunc_degree, held) -> CoeffTable:
 def _grow_parity(params, trunc_degree, held) -> ParityTable:
     theta = qs.reduce_mod2(qs.theta_sum(params.k, params.i, trunc_degree))
     penta = qs.reduce_mod2(qs.eta_product(1, trunc_degree))
-    bits = qs.mul_f2(theta, qs.inv_f2(penta)).bits
-    return ParityTable(params, bits, trunc_degree, "theta")
+    return ParityTable(params, qs.div_f2(theta, penta).bits, trunc_degree, "theta")
 
 
 # Product and parity tables are rebuilt at a larger degree: no caller

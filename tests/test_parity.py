@@ -15,16 +15,12 @@ from singover.parity import (
     convolution_mismatches,
     convolution_parity_check,
     convolution_parity_failures,
-    even_exclusion_holds,
     exceptional_set,
     exclusion_counterexamples,
     find_even_in_interval,
     find_odd_in_interval,
     first_convolution_mismatch,
-    form_values,
     form_witness,
-    is_form_value,
-    odd_exclusion_holds,
 )
 from singover.tables import CoeffTable, coefficients_theta, oracle_table, parity_table
 
@@ -140,11 +136,26 @@ def test_convolution_caveat_at_half_k():
 # --- quadratic form checks ---------------------------------------------------
 
 
+def direct_form_witnesses(k, i, bound):
+    """Map each target <= bound to its smallest (m, sign) with
+    k m^2 + sign m(k-2i) = target, by evaluating both signs at every
+    m <= bound; minus first at equal m."""
+    found = {}
+    for m in range(1, bound + 1):
+        for sign in (-1, +1):
+            t = k * m * m + sign * m * (k - 2 * i)
+            if t <= bound:
+                found.setdefault(t, (m, sign))
+    return found
+
+
 def test_form_witness_examples():
     assert form_witness(5, 1, 26) == (2, +1)  # 5*4 + 2*3
     assert form_witness(5, 1, 2) == (1, -1)  # 5 - 3
     assert form_witness(5, 1, 52) is None  # 52 = 4*13 escapes the form
-    assert is_form_value(4, 1, 30)  # 4*9 - 3*2
+    assert form_witness(4, 1, 30) == (3, -1)  # 4*9 - 3*2
+    assert form_witness(4, 2, 16) == (2, -1)  # i = k/2: both signs, minus wins
+    assert form_witness(4, 2, 12) is None  # 4 + 4*12 = 52 is no square
 
 
 def test_form_witness_validation():
@@ -156,39 +167,38 @@ def test_form_witness_validation():
 
 @given(st.integers(3, 12), st.data(), st.integers(1, 400))
 @settings(max_examples=80, deadline=None)
-def test_form_witness_agrees_with_batch_values(k, data, target):
+def test_form_witness_matches_direct_evaluation(k, data, target):
     i = data.draw(st.integers(1, k // 2))
-    w = form_witness(k, i, target)
-    values = form_values(k, i, target)
-    assert (w is not None) == (target in values)
-    if w is not None:
-        m, sign = w
-        assert k * m * m + sign * m * (k - 2 * i) == target
+    assert form_witness(k, i, target) == direct_form_witnesses(k, i, target).get(target)
 
 
 @pytest.mark.parametrize(
     "p,ell", [(5, 4), (7, 7), (11, 10), (13, 4), (17, 13), (19, 7)]
 )
 def test_even_exclusion_examples(p, ell):
-    assert even_exclusion_holds(p, ell)
+    assert form_witness(p, 1, ell * (3 * ell + 1)) is None
+    assert ell not in exclusion_counterexamples(p, ell, "even")
 
 
 @pytest.mark.parametrize(
     "p,ell", [(5, 2), (7, 5), (13, 8), (11, 2), (17, 11), (19, 14)]
 )
 def test_odd_exclusion_examples(p, ell):
-    assert odd_exclusion_holds(p, ell)
+    assert form_witness(p, 1, ell * (3 * ell - 1)) is None
+    assert ell not in exclusion_counterexamples(p, ell, "odd")
 
 
 def test_exclusion_validation():
     with pytest.raises(ParameterError):
-        even_exclusion_holds(9, 4)  # not prime
+        exclusion_counterexamples(9, 10, "even")  # not prime
     with pytest.raises(ParameterError):
-        even_exclusion_holds(5, 5)  # wrong residue
+        exclusion_counterexamples(25, 10, "odd")  # odd square
     with pytest.raises(ParameterError):
-        odd_exclusion_holds(5, 4)
+        exclusion_counterexamples(3, 10, "even")  # p below 5
     with pytest.raises(ParameterError):
-        even_exclusion_holds(3, 4)  # p below 5
+        exclusion_counterexamples(5, 10, "sideways")
+    with pytest.raises(ParameterError):
+        exclusion_counterexamples(5, 1, "odd")
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -197,11 +207,28 @@ def test_exclusion_batch_empty(p):
     assert exclusion_counterexamples(p, 1000, "odd") == []
 
 
-def test_exclusion_batch_matches_single():
-    p = 7
-    values = form_values(p, 1, 100 * 301)
-    for ell in range(4, 101, 3):
-        assert (ell * (3 * ell + 1) not in values) == even_exclusion_holds(p, ell)
+def test_exclusion_targets_match_direct_evaluation():
+    # the targets l(3l +- 1), l <= 40, against every admissible (k, i)
+    # with k <= 16: some are form values (strict mode refuses l = 9 for
+    # (5, 2)), and form_witness must find exactly those, with their m
+    hits = 0
+    for k in range(3, 17):
+        for i in range(1, k // 2 + 1):
+            direct = direct_form_witnesses(k, i, 40 * 121)
+            for ell in range(2, 41):
+                for t in (ell * (3 * ell + 1), ell * (3 * ell - 1)):
+                    assert form_witness(k, i, t) == direct.get(t)
+                    hits += t in direct
+    assert hits > 0
+    for p in (5, 7):
+        direct = direct_form_witnesses(p, 1, 100 * 301)
+        for variant, sign, start in (("even", +1, 4), ("odd", -1, 2)):
+            expected = [
+                ell
+                for ell in range(start, 101, 3)
+                if ell * (3 * ell + sign) in direct
+            ]
+            assert exclusion_counterexamples(p, 100, variant) == expected == []
 
 
 # --- interval witnesses -------------------------------------------------------

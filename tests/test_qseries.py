@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singover.errors import DegreeMismatchError, NonUnitDivisorError, ParameterError
+from singover.params import SingularParams
+from singover.parity import exceptional_set
 from singover.qseries import (
     TruncSeriesZ,
     div,
     eta_product,
+    form_exponents,
     generalized_pentagonals,
     mul,
     pochhammer_neg,
@@ -320,3 +323,56 @@ def test_theta_rejects_out_of_range_i():
         theta_sum(5, 0, 10)
     with pytest.raises(ParameterError):
         theta_sum(2, 1, 10)
+
+
+# --- the one exponent walk -------------------------------------------------------
+
+ADMISSIBLE_16 = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
+
+
+def test_form_exponents_order():
+    # minus sign first at each m, exponents nondecreasing, tie at i = k/2
+    assert list(form_exponents(5, 1, 20)) == [
+        (1, 1, -1), (4, 1, +1), (7, 2, -1), (13, 2, +1), (18, 3, -1)
+    ]
+    assert list(form_exponents(4, 2, 8)) == [
+        (2, 1, -1), (2, 1, +1), (8, 2, -1), (8, 2, +1)
+    ]
+
+
+@pytest.mark.parametrize("k,i", ADMISSIBLE_16)
+def test_exponent_walk_users_match_closed_forms(k, i):
+    # every user of the walk against its definition, evaluated directly
+    # over a range of the summation index wide enough to pass the bound
+    n = 20 * k + i
+    d = k - 2 * i
+    theta = [0] * (n + 1)
+    for e in [k * (j * j - j) // 2 + i * j for j in range(0, n + 1)] + [
+        k * (j * j + j) // 2 - i * j for j in range(1, n + 1)
+    ]:
+        if e <= n:
+            theta[e] += 1
+    assert theta_sum(k, i, n).coeffs == tuple(theta)
+
+    witnesses = {}
+    for m in range(1, n + 1):
+        for sign in (-1, +1):
+            e = (k * m * m + sign * m * d) // 2
+            if e <= n:
+                witnesses.setdefault(e, []).append((m, sign))
+    exc = exceptional_set(SingularParams(k, i), n)
+    assert sorted(exc) == sorted(witnesses)
+    for e in range(n + 1):
+        assert exc.witnesses(e) == tuple(witnesses.get(e, ()))
+
+    # (q^m; q^m) = sum over all integers j of (-1)^j q^(m j(3j-1)/2), m = i <= 8
+    eta = [0] * (n + 1)
+    for j in range(-n, n + 1):
+        e = i * j * (3 * j - 1) // 2
+        if e <= n:
+            eta[e] += -1 if j % 2 else 1
+    assert eta_product(i, n).coeffs == tuple(eta)
+
+    pents = {j * (3 * j - 1) // 2 for j in range(-n, n + 1) if j}
+    assert generalized_pentagonals(n) == frozenset(e for e in pents if e <= n)
+
