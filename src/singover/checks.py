@@ -1,0 +1,224 @@
+"""The verification checks, one function per suite.
+
+Each suite function returns a list of ``{"name", "passed", "detail"}``
+dicts, and ``detail`` carries a total count beside each list of the
+first few cases. The command line's ``verify`` renders them and the
+acceptance tests run them at their own scales.
+
+``SUITES`` is the one registry. For each suite name it holds the
+function, whose parameters are the options the suite reads and the
+fields of a report's ``config`` block, and the size argument with its
+least and greatest value. Below the least value a check would cover no
+case; above the greatest a table would pass its degree cap.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from . import parity, tables
+from .errors import PreconditionError, SingoverError
+from .oracle import DEFAULT_CAP, enumerate_overpartitions
+from .params import SingularParams
+from .qseries import generalized_pentagonals
+
+# Degree caps: exact big-integer tables and packed-parity tables.
+CAP_EXACT = 10_000
+CAP_PARITY = 100_000
+# The exclusion scan costs one integer root per l, about 1 s per 10^6.
+CAP_EXCLUSIONS = 1_000_000
+# The largest l whose even interval [l, l(3l+1)/2] fits in a parity table.
+CAP_INTERVALS = (math.isqrt(24 * CAP_PARITY + 1) - 1) // 6
+
+
+def oracle(k: int, i: int, n_max: int, oracle_cap: int) -> list[dict]:
+    params = SingularParams(k, i)
+    n_max = min(n_max, oracle_cap)
+    table = tables.coefficients_theta(params, n_max)
+    bad = [
+        n
+        for n in range(n_max + 1)
+        if table[n] != enumerate_overpartitions(params, n, oracle_cap).count
+    ]
+    return [
+        {
+            "name": f"series-vs-enumeration-k{k}-i{i}-n{n_max}",
+            "passed": not bad,
+            "detail": {"mismatches": bad, "mismatch_count": len(bad)},
+        }
+    ]
+
+
+def pipelines(k: int, i: int, n_max: int) -> list[dict]:
+    params = SingularParams(k, i)
+    prod = tables.coefficients_product(params, n_max)
+    theta = tables.coefficients_theta(params, n_max)
+    bad = [n for n in range(n_max + 1) if prod[n] != theta[n]]
+    return [
+        {
+            "name": f"product-vs-theta-k{k}-i{i}-n{n_max}",
+            "passed": not bad,
+            "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
+        }
+    ]
+
+
+def special_forms(k: int = 1, *, n_max: int) -> list[dict]:
+    """The three eta-quotients of scale k against the general product."""
+    results = []
+    for family in ("3k", "4k", "6k"):
+        special = tables.special_form(family, k, n_max)
+        general = tables.coefficients_product(special.params, n_max)
+        bad = [n for n in range(n_max + 1) if special[n] != general[n]]
+        results.append(
+            {
+                "name": f"special-{family}-scale{k}-n{n_max}",
+                "passed": not bad,
+                "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
+            }
+        )
+    return results
+
+
+def parity_facts(n_max: int) -> list[dict]:
+    t31 = tables.parity_table(SingularParams(3, 1), n_max)
+    t41 = tables.parity_table(SingularParams(4, 1), n_max)
+    t62 = tables.parity_table(SingularParams(6, 2), n_max)
+    pents = generalized_pentagonals(n_max)
+    bad31 = [e for e in range(1, n_max + 1) if t31.parity(e)]
+    bad41 = [e for e in range(1, n_max + 1, 2) if t41.parity(e)]
+    bad62 = [e for e in range(1, n_max + 1) if t62.parity(e) != (e in pents)]
+    return [
+        {
+            "name": f"c31-always-even-n{n_max}",
+            "passed": not bad31,
+            "detail": {"odd_at": bad31[:10], "failure_count": len(bad31)},
+        },
+        {
+            "name": f"c41-odd-arguments-even-n{n_max}",
+            "passed": not bad41,
+            "detail": {"odd_at": bad41[:10], "failure_count": len(bad41)},
+        },
+        {
+            "name": f"c62-odd-iff-pentagonal-n{n_max}",
+            "passed": not bad62,
+            "detail": {"mismatch_at": bad62[:10], "mismatch_count": len(bad62)},
+        },
+    ]
+
+
+def lemma1(k: int, i: int, n_max: int) -> list[dict]:
+    params = SingularParams(k, i)
+    table = tables.coefficients_theta(params, n_max)
+    wholesale = parity.convolution_mismatches(params, table)
+    bad = parity.convolution_parity_failures(params, table)
+    return [
+        {
+            "name": f"convolution-wholesale-k{k}-i{i}-n{n_max}",
+            "passed": not wholesale,
+            "detail": {
+                "first_mismatch": wholesale[0] if wholesale else None,
+                "mismatch_count": len(wholesale),
+            },
+        },
+        {
+            "name": f"convolution-per-n-k{k}-i{i}-n{n_max}",
+            "passed": not bad,
+            "detail": {"failures": bad[:10], "failure_count": len(bad)},
+        },
+    ]
+
+
+def exclusions(p: int, ell_max: int) -> list[dict]:
+    results = []
+    for variant in ("even", "odd"):
+        bad = parity.exclusion_counterexamples(p, ell_max, variant)
+        results.append(
+            {
+                "name": f"{variant}-exclusion-p{p}-ell{ell_max}",
+                "passed": not bad,
+                "detail": {
+                    "counterexamples": bad[:10],
+                    "counterexample_count": len(bad),
+                },
+            }
+        )
+    return results
+
+
+def intervals(p: int, ell_max: int, mode: str) -> list[dict]:
+    """The even and odd interval witnesses of C-bar_{p,1} for l <= ell_max.
+
+    An l whose target lies on the form for a residue the mode tests is
+    outside the guarantee: it is skipped, not failed. A check that
+    checked no l does not pass.
+    """
+    parity._require_prime(p)
+    params = SingularParams(p, 1)
+    table = tables.parity_table(params, ell_max * (3 * ell_max + 1) // 2)
+    results = []
+    for variant, start, finder in (
+        ("even", 4, parity.find_even_in_interval),
+        ("odd", 2, parity.find_odd_in_interval),
+    ):
+        found, failures, skipped = [], [], []
+        for ell in range(start, ell_max + 1, 3):
+            try:
+                w = finder(params, ell, table, mode)
+            except PreconditionError:
+                skipped.append(ell)
+            except SingoverError as exc:
+                failures.append({"ell": ell, "error": str(exc)})
+            else:
+                found.append(
+                    {"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell}
+                )
+        results.append(
+            {
+                "name": f"{variant}-witness-p{p}-ell{ell_max}",
+                "passed": bool(found) and not failures,
+                "detail": {
+                    "witnesses": found,
+                    "failures": failures,
+                    "failure_count": len(failures),
+                    "skipped": skipped[:10],
+                    "skipped_count": len(skipped),
+                },
+            }
+        )
+    return results
+
+
+def all_suites() -> list[dict]:
+    """Every suite at fixed sizes small enough for a quick run."""
+    results = []
+    for k, i in ((3, 1), (4, 1), (5, 1), (5, 2), (6, 2)):
+        results += pipelines(k=k, i=i, n_max=200)
+        results += lemma1(k=k, i=i, n_max=200)
+        results += oracle(k=k, i=i, n_max=20, oracle_cap=DEFAULT_CAP)
+    results += special_forms(k=1, n_max=200)
+    results += parity_facts(n_max=400)
+    results += exclusions(p=5, ell_max=500)
+    results += intervals(p=5, ell_max=13, mode="single")
+    return results
+
+
+@dataclass(frozen=True)
+class Suite:
+    run: Callable[..., list[dict]]
+    size: tuple[str, int, int] | None  # (argument, least, greatest)
+
+
+SUITES = {
+    "oracle": Suite(oracle, ("n_max", 1, CAP_EXACT)),
+    "pipelines": Suite(pipelines, ("n_max", 0, CAP_EXACT)),
+    "special-forms": Suite(special_forms, ("n_max", 0, CAP_EXACT)),
+    "parity-facts": Suite(parity_facts, ("n_max", 1, CAP_PARITY)),
+    "lemma1": Suite(lemma1, ("n_max", 1, CAP_EXACT)),
+    # the even checks start at l = 4
+    "exclusions": Suite(exclusions, ("ell_max", 4, CAP_EXCLUSIONS)),
+    "intervals": Suite(intervals, ("ell_max", 4, CAP_INTERVALS)),
+    "all": Suite(all_suites, None),
+}

@@ -58,14 +58,8 @@ class ExceptionalForm:
     def __contains__(self, n: int) -> bool:
         return n in self._witnesses
 
-    def __iter__(self):
-        return iter(sorted(self._witnesses))
-
     def __len__(self) -> int:
         return len(self._witnesses)
-
-    def members(self) -> frozenset[int]:
-        return frozenset(self._witnesses)
 
     def witnesses(self, n: int) -> tuple[tuple[int, int], ...]:
         return tuple(self._witnesses.get(n, ()))

@@ -52,9 +52,6 @@ class TruncSeriesZ:
     def __mul__(self, other: "TruncSeriesZ") -> "TruncSeriesZ":
         return mul(self, other)
 
-    def __truediv__(self, other: "TruncSeriesZ") -> "TruncSeriesZ":
-        return div(self, other)
-
     def support(self) -> tuple[int, ...]:
         """Exponents with nonzero coefficient."""
         return tuple(n for n, c in enumerate(self.coeffs) if c)
@@ -88,14 +85,6 @@ class TruncSeriesF2:
             raise ParameterError("bit sequence extends past the truncation degree")
         self.bits = bits
         self.trunc_degree = trunc_degree
-
-    @classmethod
-    def from_bits(cls, flags, trunc_degree: int) -> "TruncSeriesF2":
-        value = 0
-        for n, f in enumerate(flags):
-            if f:
-                value |= 1 << n
-        return cls(value, trunc_degree)
 
     def bit(self, n: int) -> int:
         if n > self.trunc_degree:

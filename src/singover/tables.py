@@ -37,7 +37,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from . import oracle as _oracle
 from . import qseries as qs
 from .errors import ParameterError, TableTooShortError
 from .params import SingularParams
@@ -236,17 +235,6 @@ def special_form(family: str, k: int, trunc_degree: int) -> CoeffTable:
         step = 1 if m == "abs" else m * k
         acc = qs.div(acc, qs.eta_product(step, trunc_degree))
     return CoeffTable(params, acc.coeffs, f"special{family}")
-
-
-def oracle_table(
-    params: SingularParams, trunc_degree: int, cap: int = _oracle.DEFAULT_CAP
-) -> CoeffTable:
-    """Table built purely by enumeration; small degrees only."""
-    values = tuple(
-        _oracle.enumerate_overpartitions(params, n, cap).count
-        for n in range(trunc_degree + 1)
-    )
-    return CoeffTable(params, values, "oracle")
 
 
 def clear_caches() -> None:

@@ -7,23 +7,16 @@ budgets of the performance criterion.
 
 import time
 
+from singover import checks
 from singover.distribution import build_sequence, parity_census
-from singover.oracle import enumerate_overpartitions
+from singover.oracle import DEFAULT_CAP, enumerate_overpartitions
 from singover.params import SingularParams
-from singover.parity import (
-    convolution_parity_check,
-    exclusion_counterexamples,
-    find_even_in_interval,
-    find_odd_in_interval,
-    first_convolution_mismatch,
-)
-from singover.qseries import generalized_pentagonals, reduce_mod2
+from singover.qseries import reduce_mod2
 from singover.tables import (
     clear_caches,
     coefficients_product,
     coefficients_theta,
     parity_table,
-    special_form,
 )
 
 NINE_PARAMS = [
@@ -42,6 +35,11 @@ def report(tag, ok, detail=""):
     assert ok, line
 
 
+def failed(results):
+    """Names of the checks in a suite's results that did not pass."""
+    return [c["name"] for c in results if not c["passed"]]
+
+
 def test_c01_worked_example():
     start = time.perf_counter()
     params = SingularParams(3, 1)
@@ -58,67 +56,49 @@ def test_c01_worked_example():
 def test_c02_pipeline_equivalence():
     bad = []
     for k, i in NINE_PARAMS:
-        params = SingularParams(k, i)
-        prod = coefficients_product(params, EQUIV_DEGREE)
-        theta = coefficients_theta(params, EQUIV_DEGREE)
-        if prod.values != theta.values:
-            bad.append((k, i))
+        bad += failed(checks.pipelines(k=k, i=i, n_max=EQUIV_DEGREE))
     report(
         f"C02 product==theta for {len(NINE_PARAMS)} params at N={EQUIV_DEGREE}",
         not bad,
-        f"mismatches={bad}",
+        f"failed={bad}",
     )
 
 
 def test_c03_special_form_equivalence():
     bad = []
-    for family in ("3k", "4k", "6k"):
-        for scale in (1, 2, 3):
-            table = special_form(family, scale, 1000)
-            general = coefficients_product(table.params, 1000)
-            if table.values != general.values:
-                bad.append((family, scale))
+    for scale in (1, 2, 3):
+        bad += failed(checks.special_forms(k=scale, n_max=1000))
     report("C03 special eta-quotients == general product at N=1000", not bad, f"{bad}")
 
 
 def test_c04_oracle_equivalence():
     bad = []
     for k, i in NINE_PARAMS:
-        params = SingularParams(k, i)
-        table = coefficients_theta(params, EQUIV_DEGREE)
-        for n in range(31):
-            if table[n] != enumerate_overpartitions(params, n).count:
-                bad.append((k, i, n))
+        bad += failed(checks.oracle(k=k, i=i, n_max=30, oracle_cap=DEFAULT_CAP))
     report("C04 series values == enumeration for n<=30", not bad, f"{bad[:5]}")
 
 
 def test_c05_cited_parity_facts():
     n = EQUIV_DEGREE
-    t31 = coefficients_theta(SingularParams(3, 1), n)
-    t41 = coefficients_theta(SingularParams(4, 1), n)
-    t62 = coefficients_theta(SingularParams(6, 2), n)
-    pents = generalized_pentagonals(n)
-    ok31 = all(t31.parity(e) == 0 for e in range(1, n + 1))
-    ok41 = all(t41.parity(e) == 0 for e in range(1, n + 1, 2))
-    ok62 = all(t62.parity(e) == (1 if e in pents else 0) for e in range(1, n + 1))
+    bad = failed(checks.parity_facts(n_max=n))
+    # the facts are read from packed parity tables; cross-check those
+    # against the exact tables
+    packed_ok = all(
+        parity_table(SingularParams(k, i), n).bits
+        == reduce_mod2(coefficients_theta(SingularParams(k, i), n).series()).bits
+        for k, i in ((3, 1), (4, 1), (6, 2))
+    )
     report(
         f"C05 parity facts (3,1)/(4,1)/(6,2) to N={n}",
-        ok31 and ok41 and ok62,
-        f"c31={ok31} c41={ok41} c62={ok62}",
+        not bad and packed_ok,
+        f"failed={bad} packed==exact mod 2: {packed_ok}",
     )
 
 
 def test_c06_convolution_identity():
     bad = []
     for k, i in NINE_PARAMS:
-        params = SingularParams(k, i)
-        table = coefficients_theta(params, EQUIV_DEGREE).truncate(1000)
-        if first_convolution_mismatch(params, table) is not None:
-            bad.append((k, i, "wholesale"))
-        for n in range(1, 1001):
-            if not convolution_parity_check(params, n, table):
-                bad.append((k, i, n))
-                break
+        bad += failed(checks.lemma1(k=k, i=i, n_max=1000))
     report("C06 pentagonal convolution parity for n<=1000", not bad, f"{bad[:5]}")
 
 
@@ -126,10 +106,7 @@ def test_c07_form_exclusions():
     start = time.perf_counter()
     bad = []
     for p in PRIMES_EXCLUSION:
-        for variant in ("even", "odd"):
-            cases = exclusion_counterexamples(p, 10_000, variant)
-            if cases:
-                bad.append((p, variant, cases[:3]))
+        bad += failed(checks.exclusions(p=p, ell_max=10_000))
     elapsed = time.perf_counter() - start
     report(
         "C07 form exclusions for p in {5..19}, l<=10^4",
@@ -142,17 +119,21 @@ def test_c08_interval_witnesses():
     top = 80 * (3 * 80 + 1) // 2  # covers every interval for l <= 80
     bad = []
     for p in PRIMES_INTERVALS:
-        params = SingularParams(p, 1)
-        packed = parity_table(params, top)
-        exact = coefficients_theta(params, top)
-        for ell in range(4, 81, 3):
-            w = find_even_in_interval(params, ell, packed)
-            if not (w.lo <= w.n <= w.hi and exact[w.n] % 2 == 0):
-                bad.append((p, "even", ell))
-        for ell in range(2, 81, 3):
-            w = find_odd_in_interval(params, ell, packed)
-            if not (w.lo <= w.n <= w.hi and exact[w.n] % 2 == 1):
-                bad.append((p, "odd", ell))
+        even, odd = checks.intervals(p=p, ell_max=80, mode="single")
+        bad += failed([even, odd])
+        # every l has a witness, and each has its parity in the exact table
+        exact = coefficients_theta(SingularParams(p, 1), top)
+        for check, start, want, interval in (
+            (even, 4, 0, lambda l: (l, l * (3 * l + 1) // 2)),
+            (odd, 2, 1, lambda l: (2 * l - 1, l * (3 * l - 1) // 2)),
+        ):
+            witnesses = check["detail"]["witnesses"]
+            if [w["ell"] for w in witnesses] != list(range(start, 81, 3)):
+                bad.append((check["name"], "not every l"))
+            for w in witnesses:
+                lo, hi = interval(w["ell"])
+                if not (lo <= w["n"] <= hi and exact[w["n"]] % 2 == want):
+                    bad.append((p, w["ell"], w["n"]))
     report("C08 interval witnesses for p in {5,7,11}, l<=80", not bad, f"{bad[:5]}")
 
 

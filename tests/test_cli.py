@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from singover import cli
+from singover import checks, cli
 
 
 def run_cli(args, capsys):
@@ -121,6 +121,22 @@ def test_zero_case_checks_exit_2(capsys, args):
     assert out == ""
 
 
+def test_sizes_outside_the_registry_bounds_exit_2(capsys):
+    # every sized suite refuses one below its least and one above its
+    # greatest size before it builds anything
+    sized = [(name, suite.size) for name, suite in checks.SUITES.items() if suite.size]
+    assert {name for name, _ in sized} == set(checks.SUITES) - {"all"}
+    for name, (arg, least, greatest) in sized:
+        base = ["verify", "--suite", name, "--k", "3", "--i", "1"]
+        for value in (least - 1, greatest + 1):
+            code, out, err = run_cli(base + ["--" + arg.replace("_", "-"), str(value)], capsys)
+            assert code == 2 and "parameter error" in err, (name, value, err)
+            assert out == ""
+    assert checks.SUITES["exclusions"].size == ("ell_max", 4, 10**6)
+    assert checks.SUITES["intervals"].size == ("ell_max", 4, 258)
+    assert checks.SUITES["parity-facts"].size == ("n_max", 1, cli.CAP_PARITY)
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "oracle", "--k", "7", "--i", "2", "--n-max", "25"],
@@ -199,7 +215,7 @@ def test_usage_error_exits_2():
 def test_failed_check_exits_1(capsys, monkeypatch):
     # force a counterexample through the reporting path
     monkeypatch.setattr(
-        cli.parity, "exclusion_counterexamples", lambda p, e, v: [4]
+        checks.parity, "exclusion_counterexamples", lambda p, e, v: [4]
     )
     code, out, _ = run_cli(
         ["verify", "--suite", "exclusions", "--p", "5", "--ell-max", "10"], capsys
@@ -257,13 +273,16 @@ def test_verify_every_check_reports_a_total_count(capsys):
     code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
     assert code == 0
     for check in json.loads(out)["checks"]:
-        counts = [key for key in check["detail"] if key.endswith("_count")]
-        assert len(counts) == 1 and check["detail"][counts[0]] == 0, check["name"]
+        detail = check["detail"]
+        counts = [key for key in detail if key.endswith("_count")]
+        # the interval checks also count the l they skip
+        assert len(counts) == (2 if "skipped" in detail else 1), check["name"]
+        assert all(detail[key] == 0 for key in counts), check["name"]
 
 
 def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.parity, "exclusion_counterexamples", lambda p, e, v: list(range(4, 100, 3))
+        checks.parity, "exclusion_counterexamples", lambda p, e, v: list(range(4, 100, 3))
     )
     code, out, _ = run_cli(
         ["verify", "--suite", "exclusions", "--p", "5", "--ell-max", "100"], capsys
@@ -272,7 +291,7 @@ def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
     detail = json.loads(out)["checks"][0]["detail"]
     assert detail == {"counterexamples": list(range(4, 34, 3)), "counterexample_count": 32}
     monkeypatch.setattr(
-        cli.parity, "convolution_parity_failures", lambda params, table: list(range(1, 16))
+        checks.parity, "convolution_parity_failures", lambda params, table: list(range(1, 16))
     )
     code, out, _ = run_cli(
         ["verify", "--suite", "lemma1", "--k", "3", "--i", "1", "--n-max", "20"], capsys
@@ -281,3 +300,64 @@ def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
     wholesale, per_n = json.loads(out)["checks"]
     assert wholesale["detail"] == {"first_mismatch": None, "mismatch_count": 0}
     assert per_n["detail"] == {"failures": list(range(1, 11)), "failure_count": 15}
+
+
+@pytest.mark.parametrize(
+    "p,even_skipped,odd_skipped", [(7, [], [2]), (13, [10], [2, 5, 14])]
+)
+def test_verify_intervals_strict_skips_what_the_theorem_does_not_cover(
+    capsys, p, even_skipped, odd_skipped
+):
+    # an l whose target hits the form for another residue i is outside
+    # the guarantee: it is skipped and counted, and the check still passes
+    code, out, _ = run_cli(
+        ["verify", "--suite", "intervals", "--p", str(p), "--ell-max", "20", "--mode", "strict"],
+        capsys,
+    )
+    assert code == 0
+    even, odd = json.loads(out)["checks"]
+    for check, skipped, start in ((even, even_skipped, 4), (odd, odd_skipped, 2)):
+        detail = check["detail"]
+        assert check["passed"] and detail["failure_count"] == 0
+        assert detail["skipped"] == skipped and detail["skipped_count"] == len(skipped)
+        witnessed = [w["ell"] for w in detail["witnesses"]]
+        assert sorted(witnessed + skipped) == list(range(start, 21, 3))
+
+
+def test_verify_intervals_check_with_every_l_skipped_fails(capsys):
+    # p = 7, strict: the only odd l <= 4 is 2, which is skipped
+    code, out, _ = run_cli(
+        ["verify", "--suite", "intervals", "--p", "7", "--ell-max", "4", "--mode", "strict"],
+        capsys,
+    )
+    assert code == 1
+    even, odd = json.loads(out)["checks"]
+    assert even["passed"] and even["detail"]["witnesses"]
+    assert not odd["passed"]
+    assert odd["detail"]["witnesses"] == [] and odd["detail"]["failures"] == []
+    assert odd["detail"]["skipped"] == [2] and odd["detail"]["skipped_count"] == 1
+
+
+@pytest.mark.parametrize("p", ["9", "4"])
+def test_verify_intervals_rejects_composite_p(capsys, p):
+    code, out, err = run_cli(
+        ["verify", "--suite", "intervals", "--p", p, "--ell-max", "13"], capsys
+    )
+    assert code == 2 and "p must be a prime >= 5" in err
+    assert out == ""
+
+
+def test_verify_parity_facts_reads_to_the_parity_cap(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "parity-facts", "--n-max", "100000"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_exclusions_cap_exits_2(capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "exclusions", "--p", "5", "--ell-max", "1000001"], capsys
+    )
+    assert code == 2 and "--ell-max must be <= 1000000" in err
+    assert out == ""

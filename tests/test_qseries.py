@@ -361,7 +361,8 @@ def test_exponent_walk_users_match_closed_forms(k, i):
             if e <= n:
                 witnesses.setdefault(e, []).append((m, sign))
     exc = exceptional_set(SingularParams(k, i), n)
-    assert sorted(exc) == sorted(witnesses)
+    assert [e for e in range(n + 1) if e in exc] == sorted(witnesses)
+    assert len(exc) == len(witnesses)
     for e in range(n + 1):
         assert exc.witnesses(e) == tuple(witnesses.get(e, ()))
 

@@ -28,7 +28,6 @@ from singover.tables import (
     clear_caches,
     coefficients_product,
     coefficients_theta,
-    oracle_table,
     parity_table,
     special_form,
 )
@@ -78,8 +77,11 @@ def test_tables_match_enumeration(k, i):
 
 
 def test_oracle_table_source():
-    t = oracle_table(SingularParams(5, 1), 8)
-    assert t.source == "oracle"
+    # a table built by enumeration alone, n by n
+    params = SingularParams(5, 1)
+    values = tuple(enumerate_overpartitions(params, n).count for n in range(9))
+    t = CoeffTable(params, values, "oracle")
+    assert t.source == "oracle" and t.trunc_degree == 8
     assert t.values == coefficients_theta(SingularParams(5, 1), 8).values
 
 
