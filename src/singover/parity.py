@@ -132,13 +132,17 @@ def _convolution_holds(values, n: int, offsets, exceptional: ExceptionalForm) ->
 def convolution_mismatches(params: SingularParams, table) -> list[int]:
     """Wholesale form of the convolution check over the whole table.
 
-    Multiplies the table series by (q;q), reduces mod 2 and compares
-    against the theta numerator mod 2, coefficient by coefficient.
-    Returns every mismatching degree in increasing order; the list is
-    empty when the identity holds through the truncation degree.
+    Multiplies the table series by (q;q) mod 2 and compares against the
+    theta numerator mod 2, coefficient by coefficient. Reduction mod 2
+    is a ring homomorphism, so both factors are reduced first and
+    multiplied in packed GF(2) arithmetic, with the same result as
+    reducing their integer product. Returns every mismatching degree in
+    increasing order; the list is empty when the identity holds through
+    the truncation degree.
     """
     n = table.trunc_degree
-    lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table.series()))
+    penta = qs.reduce_mod2(qs.eta_product(1, n))
+    lhs = qs.mul_f2(penta, qs.reduce_mod2(table.series()))
     rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
     return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
 

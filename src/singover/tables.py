@@ -25,10 +25,11 @@ stores hold at most STORE_BUDGET pairs each and are guarded by one lock
 per store, so the tables can be requested from several threads.
 
 Edge case: for even k with i = k/2 the residues +i and -i coincide and
-the product formula lists the same overline factor twice. All pipelines
-follow the formula literally (and agree with each other), but from
-n = k/2 on the values exceed the one-mark-per-value enumeration count;
-the brute-force oracle is the authority on the combinatorial object.
+the product formula lists the same overline factor twice. Every route
+follows the formula literally, and so does the oracle: a part value
+v = k/2 (mod k) carries two distinguishable marks, the factor
+(1+q^v)^2/(1-q^v), so one copy of v can be marked in 3 ways and two or
+more copies in 4.
 """
 
 from __future__ import annotations

@@ -9,7 +9,12 @@ import time
 
 from singover import checks
 from singover.distribution import build_sequence, parity_census
-from singover.oracle import DEFAULT_CAP, enumerate_overpartitions
+from singover.oracle import (
+    DEFAULT_CAP,
+    count_by_backtracking,
+    dp_table,
+    enumerate_overpartitions,
+)
 from singover.params import SingularParams
 from singover.qseries import reduce_mod2
 from singover.tables import (
@@ -75,7 +80,11 @@ def test_c04_oracle_equivalence():
     bad = []
     for k, i in NINE_PARAMS:
         bad += failed(checks.oracle(k=k, i=i, n_max=30, oracle_cap=DEFAULT_CAP))
-    report("C04 series values == enumeration for n<=30", not bad, f"{bad[:5]}")
+        # the oracle's DP table against backtracking through every partition
+        params = SingularParams(k, i)
+        if dp_table(params, 30) != [count_by_backtracking(params, n) for n in range(31)]:
+            bad.append(f"dp-vs-backtracking-k{k}-i{i}")
+    report("C04 series values == DP == enumeration for n<=30", not bad, f"{bad[:5]}")
 
 
 def test_c05_cited_parity_facts():

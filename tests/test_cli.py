@@ -104,6 +104,26 @@ def test_oracle_cap_ceiling_exits_2(capsys):
     assert out == ""
 
 
+def test_oracle_at_the_cap(capsys):
+    base = ["verify", "--suite", "oracle", "--k", "13", "--i", "1", "--n-max", "2000"]
+    code, out, err = run_cli(base + ["--oracle-cap", "2001"], capsys)
+    assert code == 2 and "--oracle-cap must be in [1, 2000]" in err and out == ""
+    code, out, _ = run_cli(base + ["--oracle-cap", "2000"], capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "series-vs-enumeration-k13-i1-n2000" and check["passed"]
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_verify_oracle_half_k(capsys, k):
+    # the oracle counts the formula's two marks at i = k/2
+    code, out, _ = run_cli(
+        ["verify", "--suite", "oracle", "--k", str(k), "--i", str(k // 2), "--n-max", "30"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,16 +1,22 @@
-"""Brute-force enumeration: worked examples and the two-method cross-check."""
+"""The combinatorial oracle: worked examples, the DP table and its
+backtracking cross-check."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singover import checks
 from singover.errors import OracleCapError, ParameterError
 from singover.oracle import (
     count_by_backtracking,
     count_by_dp,
+    dp_table,
     enumerate_overpartitions,
 )
 from singover.params import SingularParams
+from singover.tables import coefficients_theta
+
+ADMISSIBLE_PARAMS = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
 
 
 def test_worked_example():
@@ -58,12 +64,35 @@ def test_params_validation():
     SingularParams(4, 2)  # i = k/2 is allowed
 
 
-@given(st.integers(3, 13), st.data(), st.integers(0, 18))
-@settings(deadline=None, max_examples=60)
-def test_backtracking_agrees_with_dp(k, data, n):
-    i = data.draw(st.integers(1, k // 2))
+def test_backtracking_agrees_with_dp():
+    # every admissible (k, i) with k <= 16, i = k/2 included
+    for k, i in ADMISSIBLE_PARAMS:
+        params = SingularParams(k, i)
+        counts = [count_by_backtracking(params, n) for n in range(21)]
+        assert dp_table(params, 20) == counts, (k, i)
+        assert [count_by_dp(params, n) for n in range(-2, 21)] == [0, 0] + counts
+
+
+def test_half_k_counts_two_marks():
+    # (4, 2) at n = 2: the part 2 takes no mark or one of two marks (3),
+    # plus 1+1; at n = 4: 3+1, 2+2 with any subset of the marks (4),
+    # 2+1+1 (3) and 1+1+1+1
+    assert dp_table(SingularParams(4, 2), 4) == [1, 1, 4, 5, 9]
+    assert enumerate_overpartitions(SingularParams(4, 2), 4).count == 9
+
+
+@pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)
+def test_dp_table_matches_theta(k, i):
     params = SingularParams(k, i)
-    assert count_by_backtracking(params, n) == count_by_dp(params, n)
+    assert tuple(dp_table(params, 300)) == coefficients_theta(params, 300).values
+
+
+def test_oracle_check_lists_first_ten_mismatches(monkeypatch):
+    # every count off by one: the total counts all 41, the list the first 10
+    monkeypatch.setattr(checks, "dp_table", lambda params, n: [c + 1 for c in dp_table(params, n)])
+    (check,) = checks.oracle(k=5, i=1, n_max=40, oracle_cap=40)
+    assert not check["passed"]
+    assert check["detail"] == {"mismatches": list(range(10)), "mismatch_count": 41}
 
 
 @given(st.integers(3, 9), st.integers(0, 14))

@@ -1,9 +1,12 @@
 """Exceptional sets, the convolution identity, form exclusions, witnesses."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singover import qseries as qs
 from singover.errors import (
     DiscrepancyError,
     ParameterError,
@@ -122,6 +125,39 @@ def test_convolution_failures_match_the_per_n_check(k, i):
     assert convolution_parity_failures(params, bad_table) == per_n
     assert convolution_mismatches(params, bad_table) == per_n
     assert first_convolution_mismatch(params, bad_table) == 40
+
+
+def integer_mismatches(params, table):
+    """The wholesale check in integer arithmetic: multiply, then reduce."""
+    n = table.trunc_degree
+    lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table.series()))
+    rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
+    return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
+
+
+@pytest.mark.parametrize(
+    "k,i", [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
+)
+def test_wholesale_gf2_matches_integer_form(k, i):
+    # the GF(2) product of the reduced factors against the reduced integer
+    # product, on the true table, with odd and with even perturbations
+    params = SingularParams(k, i)
+    table = coefficients_theta(params, 250)
+    assert convolution_mismatches(params, table) == integer_mismatches(params, table) == []
+    rng = random.Random(f"{k},{i}")
+    odd = rng.sample(range(251), 5)
+    even = rng.sample(range(251), 5)
+    odd_values, even_values = list(table.values), list(table.values)
+    for n in odd:
+        odd_values[n] += rng.choice((-1, 1)) * (2 * rng.randrange(4) + 1)
+    for n in even:
+        even_values[n] += rng.choice((-1, 1)) * 2 * rng.randrange(1, 4)
+    odd_table = CoeffTable(params, tuple(odd_values), "theta")
+    even_table = CoeffTable(params, tuple(even_values), "theta")
+    found = convolution_mismatches(params, odd_table)
+    assert found == integer_mismatches(params, odd_table)
+    assert found[0] == min(odd)
+    assert convolution_mismatches(params, even_table) == integer_mismatches(params, even_table) == []
 
 
 def test_convolution_requires_positive_n_and_coverage():

@@ -160,17 +160,18 @@ def test_truncate_matches_direct_computation():
 
 def test_half_k_residue_case():
     # i = k/2 makes +i and -i the same residue, so the product formula
-    # lists the overline factor twice. Taken literally (as implemented)
-    # both pipelines agree with each other, match the one-mark
-    # enumeration below n = k/2, and exceed it from n = k/2 on, where
-    # the duplicated factor adds a second independent mark.
+    # lists the overline factor twice. Both pipelines and the enumeration
+    # follow it: a part k/2 (mod k) carries two distinguishable marks,
+    # so a single part k/2 counts 3 ways, where one mark would give 2.
     for k in (4, 6, 8):
         params = SingularParams(k, k // 2)
         prod = coefficients_product(params, 12)
         assert prod.values == coefficients_theta(params, 12).values
         counts = [enumerate_overpartitions(params, n).count for n in range(13)]
-        assert list(prod.values[: k // 2]) == counts[: k // 2]
-        assert prod[k // 2] == counts[k // 2] + 1
+        assert list(prod.values) == counts
+        # n = k/2: p(k/2) - 1 partitions into smaller, unmarked parts,
+        # and the part k/2 alone in 3 ways
+        assert prod[k // 2] == {4: 2, 6: 3, 8: 5}[k] - 1 + 3
 
 
 def test_coeff_table_series_roundtrip():
