@@ -50,7 +50,6 @@ from .qseries import (
     div,
     div_f2,
     eta_product,
-    generalized_pentagonals,
     inv_f2,
     mul,
     mul_f2,
@@ -107,7 +106,6 @@ __all__ = [
     "find_odd_in_interval",
     "first_convolution_mismatch",
     "form_witness",
-    "generalized_pentagonals",
     "inv_f2",
     "mul",
     "mul_f2",

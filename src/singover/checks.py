@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import parity, tables
+from . import qseries as qs
 from .errors import PreconditionError, SingoverError
 from .oracle import DEFAULT_CAP, dp_table
 from .params import SingularParams
-from .qseries import generalized_pentagonals
 
 # Degree caps: exact big-integer tables and packed-parity tables.
 CAP_EXACT = 10_000
-CAP_PARITY = 100_000
+CAP_PARITY = 1_000_000
 # The exclusion scan costs one integer root per l, about 1 s per 10^6.
 CAP_EXCLUSIONS = 1_000_000
 # The largest l whose even interval [l, l(3l+1)/2] fits in a parity table.
@@ -80,13 +80,22 @@ def special_forms(k: int = 1, *, n_max: int) -> list[dict]:
 
 
 def parity_facts(n_max: int) -> list[dict]:
+    """Three parity facts, read off whole bit words of the parity tables.
+
+    Each list of bad degrees is the ascending set bits of a masked word,
+    restricted to degrees 1..n_max: C-bar_{3,1} odd anywhere,
+    C-bar_{4,1} odd at an odd degree, and C-bar_{6,2} differing from
+    (q;q) mod 2, which is odd exactly at the generalized pentagonals.
+    """
     t31 = tables.parity_table(SingularParams(3, 1), n_max)
     t41 = tables.parity_table(SingularParams(4, 1), n_max)
     t62 = tables.parity_table(SingularParams(6, 2), n_max)
-    pents = generalized_pentagonals(n_max)
-    bad31 = [e for e in range(1, n_max + 1) if t31.parity(e)]
-    bad41 = [e for e in range(1, n_max + 1, 2) if t41.parity(e)]
-    bad62 = [e for e in range(1, n_max + 1) if t62.parity(e) != (e in pents)]
+    degrees = ((1 << (n_max + 1)) - 1) ^ 1  # degrees 1..n_max
+    odd_degrees = int.from_bytes(b"\xaa" * (n_max // 8 + 1), "little") & degrees
+    pents = qs.form_bits(3, 1, n_max).bits
+    bad31 = qs._set_bits(t31.bits & degrees)
+    bad41 = qs._set_bits(t41.bits & odd_degrees)
+    bad62 = qs._set_bits((t62.bits ^ pents) & degrees)
     return [
         {
             "name": f"c31-always-even-n{n_max}",

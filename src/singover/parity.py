@@ -136,15 +136,16 @@ def convolution_mismatches(params: SingularParams, table) -> list[int]:
     theta numerator mod 2, coefficient by coefficient. Reduction mod 2
     is a ring homomorphism, so both factors are reduced first and
     multiplied in packed GF(2) arithmetic, with the same result as
-    reducing their integer product. Returns every mismatching degree in
-    increasing order; the list is empty when the identity holds through
-    the truncation degree.
+    reducing their integer product. (q;q) and the theta numerator are
+    built mod 2 straight from their exponents by ``qseries.form_bits``;
+    only the exact table goes through reduce_mod2. Returns every
+    mismatching degree in increasing order; the list is empty when the
+    identity holds through the truncation degree.
     """
     n = table.trunc_degree
-    penta = qs.reduce_mod2(qs.eta_product(1, n))
-    lhs = qs.mul_f2(penta, qs.reduce_mod2(table.series()))
-    rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
-    return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
+    lhs = qs.mul_f2(qs.form_bits(3, 1, n), qs.reduce_mod2(table.series()))
+    rhs = qs.form_bits(params.k, params.i, n)
+    return qs._set_bits(lhs.bits ^ rhs.bits)
 
 
 def first_convolution_mismatch(params: SingularParams, table) -> int | None:

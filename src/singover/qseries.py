@@ -92,13 +92,7 @@ class TruncSeriesF2:
         return (self.bits >> n) & 1
 
     def support(self) -> tuple[int, ...]:
-        out = []
-        x = self.bits
-        while x:
-            low = x & -x
-            out.append(low.bit_length() - 1)
-            x ^= low
-        return tuple(out)
+        return tuple(_set_bits(self.bits))
 
     def truncate(self, trunc_degree: int) -> "TruncSeriesF2":
         if trunc_degree > self.trunc_degree:
@@ -288,10 +282,23 @@ def theta_sum(k: int, i: int, trunc_degree: int) -> TruncSeriesZ:
     return TruncSeriesZ(coeffs)
 
 
-def generalized_pentagonals(bound: int, include_zero: bool = False) -> frozenset[int]:
-    """All m(3m +- 1)/2 with m >= 1 up to the bound (optionally with 0)."""
-    out = frozenset(e for e, _, _ in form_exponents(3, 1, bound))
-    return out | {0} if include_zero else out
+def form_bits(k: int, i: int, trunc_degree: int) -> TruncSeriesF2:
+    """The theta numerator mod 2, built from its exponents as bits.
+
+    1 plus q^e for every ``form_exponents`` value e, each XORed into one
+    bit: equal to reduce_mod2(theta_sum(k, i, N)) without the dense
+    integer list. At i = k/2 every exponent comes twice and its bits
+    cancel, as the coefficient 2 requires. The pair (3, 1) gives the
+    generalized pentagonals, so form_bits(3, 1, N) is (q;q) mod 2.
+    """
+    SingularParams(k, i)  # validates (k, i)
+    if trunc_degree < 0:
+        raise ParameterError("truncation degree must be nonnegative")
+    buf = bytearray(trunc_degree // 8 + 1)
+    buf[0] = 1
+    for e, _, _ in form_exponents(k, i, trunc_degree):
+        buf[e >> 3] ^= 1 << (e & 7)
+    return TruncSeriesF2(int.from_bytes(buf, "little"), trunc_degree)
 
 
 def reduce_mod2(s: TruncSeriesZ) -> TruncSeriesF2:
@@ -304,19 +311,33 @@ def reduce_mod2(s: TruncSeriesZ) -> TruncSeriesF2:
     return TruncSeriesF2(int.from_bytes(buf, "little"), n)
 
 
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, in ascending order.
+
+    One pass of str.find over the reversed binary string, so no step
+    touches the big integer itself.
+    """
+    digits = bin(x)[:1:-1]  # bit 0 first, without the "0b" prefix
+    out = []
+    e = digits.find("1")
+    while e >= 0:
+        out.append(e)
+        e = digits.find("1", e + 1)
+    return out
+
+
 def _mul_bits(x: int, y: int) -> int:
     """Carryless (GF(2)) product of two bit-packed polynomials.
 
-    Shift-XOR over the set bits of the sparser operand; each XOR is
-    word-parallel on the underlying big integer.
+    Shift-XOR over the set bits of the sparser operand, listed by one
+    ``_set_bits`` scan; each XOR is word-parallel on the underlying big
+    integer.
     """
     if x.bit_count() > y.bit_count():
         x, y = y, x
     acc = 0
-    while x:
-        low = x & -x
-        acc ^= y << (low.bit_length() - 1)
-        x ^= low
+    for e in _set_bits(x):
+        acc ^= y << e
     return acc
 
 

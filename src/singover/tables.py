@@ -15,7 +15,9 @@ Three routes to the same numbers:
   (3k', k'), (4k', k') or (6k', k').
 
 ``parity_table`` is the mod-2 shortcut used by the witness searches: the
-same theta quotient carried out entirely in packed GF(2) arithmetic.
+same theta quotient carried out entirely in packed GF(2) arithmetic. Its
+two inputs, the theta numerator and (q;q) mod 2, are built as bits
+straight from ``qseries.form_exponents``, with no integer series.
 
 Each route keeps, per (k, i), the largest table built so far, so the
 parity and distribution layers share one expansion. A smaller request
@@ -178,8 +180,8 @@ def _grow_theta(params, trunc_degree, held) -> CoeffTable:
 
 
 def _grow_parity(params, trunc_degree, held) -> ParityTable:
-    theta = qs.reduce_mod2(qs.theta_sum(params.k, params.i, trunc_degree))
-    penta = qs.reduce_mod2(qs.eta_product(1, trunc_degree))
+    theta = qs.form_bits(params.k, params.i, trunc_degree)
+    penta = qs.form_bits(3, 1, trunc_degree)
     return ParityTable(params, qs.div_f2(theta, penta).bits, trunc_degree, "theta")
 
 
@@ -202,7 +204,11 @@ def coefficients_theta(params: SingularParams, trunc_degree: int) -> CoeffTable:
 
 
 def parity_table(params: SingularParams, trunc_degree: int) -> ParityTable:
-    """Mod-2 table via the packed GF(2) theta quotient."""
+    """Mod-2 table via the packed GF(2) theta quotient.
+
+    The theta numerator and (q;q) mod 2 are ``qseries.form_bits``, one
+    bit per ``form_exponents`` value, with no integer series between.
+    """
     return _PARITY.get(params, trunc_degree)
 
 

@@ -175,16 +175,25 @@ def test_c10_performance():
     packed = parity_table(params, 100_000)
     parity_time = time.perf_counter() - start
 
+    # the parity cap, from empty stores so the table is built, not sliced
+    clear_caches()
+    start = time.perf_counter()
+    at_cap = parity_table(params, checks.CAP_PARITY)
+    cap_time = time.perf_counter() - start
+
     start = time.perf_counter()
     exact = coefficients_theta(params, 10_000)
     exact_time = time.perf_counter() - start
 
     mask = (1 << 10_001) - 1
     agree = (packed.bits & mask) == reduce_mod2(exact.series()).bits
-    ok = parity_time <= 10.0 and exact_time <= 60.0 and agree and exact[0] == 1
+    agree &= (at_cap.bits & ((1 << 100_001) - 1)) == packed.bits
+    ok = parity_time <= 10.0 and cap_time <= 10.0 and exact_time <= 60.0
+    ok = ok and agree and exact[0] == 1
     report(
         "C10 performance budgets",
         ok,
         f"parity 10^5 in {parity_time:.2f}s (<=10s), "
+        f"parity 10^6 in {cap_time:.2f}s (<=10s), "
         f"exact 10^4 in {exact_time:.2f}s (<=60s), paths agree={agree}",
     )

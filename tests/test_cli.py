@@ -153,7 +153,7 @@ def test_sizes_outside_the_registry_bounds_exit_2(capsys):
             assert code == 2 and "parameter error" in err, (name, value, err)
             assert out == ""
     assert checks.SUITES["exclusions"].size == ("ell_max", 4, 10**6)
-    assert checks.SUITES["intervals"].size == ("ell_max", 4, 258)
+    assert checks.SUITES["intervals"].size == ("ell_max", 4, 816)
     assert checks.SUITES["parity-facts"].size == ("n_max", 1, cli.CAP_PARITY)
 
 
@@ -369,10 +369,34 @@ def test_verify_intervals_rejects_composite_p(capsys, p):
 
 def test_verify_parity_facts_reads_to_the_parity_cap(capsys):
     code, out, _ = run_cli(
-        ["verify", "--suite", "parity-facts", "--n-max", "100000"], capsys
+        ["verify", "--suite", "parity-facts", "--n-max", "1000000"], capsys
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_intervals_at_the_cap(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "intervals", "--p", "5", "--ell-max", "816"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    even, odd = payload["checks"]
+    assert even["detail"]["witnesses"][-1]["ell"] == 814  # the last l = 1 mod 3
+    assert odd["detail"]["witnesses"][-1]["ell"] == 815  # the last l = 2 mod 3
+
+
+def test_density_at_the_parity_cap(capsys):
+    code, out, err = run_cli(["density", "--p", "5", "--x", "1000001"], capsys)
+    assert code == 2 and "--x must be in [1, 1000000]" in err
+    assert out == ""
+    code, out, _ = run_cli(["density", "--p", "5", "--x", "1000000"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["X"] == 1_000_000
+    assert payload["even_count"] + payload["odd_count"] == 1_000_000
+    assert payload["even_dominates"] and payload["odd_dominates"]
 
 
 def test_verify_exclusions_cap_exits_2(capsys):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singover.errors import DegreeMismatchError, NonUnitDivisorError
+from singover.errors import DegreeMismatchError, NonUnitDivisorError, ParameterError
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
+    _mul_bits,
+    _set_bits,
     div,
     div_f2,
     eta_product,
+    form_bits,
     inv_f2,
     mul,
     mul_f2,
@@ -107,3 +110,62 @@ def test_truncate_f2():
     assert s.bit(3) == 1
     with pytest.raises(IndexError):
         s.bit(4)
+
+
+# --- parity inputs built from exponent bits -----------------------------------
+
+ADMISSIBLE_16 = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
+
+
+@pytest.mark.parametrize("k,i", ADMISSIBLE_16)
+def test_form_bits_is_the_reduced_theta_sum(k, i):
+    # i = k/2 included: there every exponent comes twice and cancels
+    for n in (0, 1, 50, 2000):
+        assert form_bits(k, i, n) == reduce_mod2(theta_sum(k, i, n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 2000])
+def test_form_bits_31_is_the_reduced_eta_product(n):
+    assert form_bits(3, 1, n) == reduce_mod2(eta_product(1, n))
+
+
+def test_form_bits_rejects_bad_input():
+    with pytest.raises(ParameterError):
+        form_bits(4, 3, 10)
+    with pytest.raises(ParameterError):
+        form_bits(5, 1, -1)
+
+
+def test_set_bits_ascending():
+    assert _set_bits(0) == []
+    assert _set_bits(1) == [0]
+    assert _set_bits(1 << 100_000) == [100_000]
+    rng = random.Random(0xB175)
+    for width in (1, 7, 64, 65, 1000, 20_000):
+        for _ in range(20):
+            x = rng.getrandbits(width)
+            expected = [e for e in range(width) if (x >> e) & 1]
+            assert _set_bits(x) == expected
+
+
+def _mul_bits_by_lowest_bit(x, y):
+    """The carryless product by peeling the lowest set bit, one at a time."""
+    if x.bit_count() > y.bit_count():
+        x, y = y, x
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= y << (low.bit_length() - 1)
+        x ^= low
+    return acc
+
+
+packed = st.one_of(
+    st.integers(0, 1 << 300),
+    st.sets(st.integers(0, 3000), max_size=30).map(lambda es: sum(1 << e for e in es)),
+)
+
+
+@given(packed, packed)
+def test_mul_bits_matches_lowest_bit_loop(x, y):
+    assert _mul_bits(x, y) == _mul_bits_by_lowest_bit(x, y)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singover import checks, tables
 from singover import qseries as qs
 from singover.errors import (
     DiscrepancyError,
@@ -26,7 +27,7 @@ from singover.parity import (
     form_witness,
 )
 from singover.oracle import enumerate_overpartitions
-from singover.tables import CoeffTable, coefficients_theta, parity_table
+from singover.tables import CoeffTable, ParityTable, coefficients_theta, parity_table
 
 
 def members(exc, bound):
@@ -350,8 +351,38 @@ def test_known_parity_facts_small():
     assert all(t31.parity(e) == 0 for e in range(1, n + 1))
     t41 = parity_table(SingularParams(4, 1), n)
     assert all(t41.parity(e) == 0 for e in range(1, n + 1, 2))
-    from singover.qseries import generalized_pentagonals
-
-    pents = generalized_pentagonals(n)
+    pents = {j * (3 * j - 1) // 2 for j in range(-n, n + 1) if j}
     t62 = parity_table(SingularParams(6, 2), n)
     assert all(t62.parity(e) == (1 if e in pents else 0) for e in range(1, n + 1))
+
+
+def test_parity_facts_report_planted_failures(monkeypatch):
+    # plant odd values into true tables and check the reported lists:
+    # ascending, the first 10, and the exact total
+    n = 3000
+    rng = random.Random(0xFAC7)
+    true = {
+        (k, i): parity_table(SingularParams(k, i), n).bits
+        for k, i in ((3, 1), (4, 1), (6, 2))
+    }
+    plant31 = sorted(rng.sample(range(1, n + 1), 23) + [n])
+    plant41 = sorted(rng.sample(range(1, n + 1, 2), 14))
+    even_noise = rng.sample(range(0, n + 1, 2), 9)  # even degrees: no fact about them
+    plant62 = sorted(rng.sample(range(1, n + 1), 17))
+    planted = {
+        (3, 1): plant31 + [0],  # degree 0 lies outside every fact
+        (4, 1): plant41 + even_noise,
+        (6, 2): plant62,
+    }
+
+    def fake(params, trunc_degree):
+        key = (params.k, params.i)
+        flips = sum(1 << e for e in planted[key])
+        return ParityTable(params, true[key] ^ flips, trunc_degree, "planted")
+
+    monkeypatch.setattr(tables, "parity_table", fake)
+    c31, c41, c62 = checks.parity_facts(n)
+    assert not (c31["passed"] or c41["passed"] or c62["passed"])
+    assert c31["detail"] == {"odd_at": plant31[:10], "failure_count": len(plant31)}
+    assert c41["detail"] == {"odd_at": plant41[:10], "failure_count": len(plant41)}
+    assert c62["detail"] == {"mismatch_at": plant62[:10], "mismatch_count": len(plant62)}

@@ -11,8 +11,8 @@ from singover.qseries import (
     TruncSeriesZ,
     div,
     eta_product,
+    form_bits,
     form_exponents,
-    generalized_pentagonals,
     mul,
     pochhammer_neg,
     theta_sum,
@@ -221,8 +221,8 @@ def test_eta_rejects_bad_step():
 
 
 def test_generalized_pentagonals():
-    assert generalized_pentagonals(15) == frozenset({1, 2, 5, 7, 12, 15})
-    assert 0 in generalized_pentagonals(15, include_zero=True)
+    # (q;q) mod 2 is 1 plus q^e at every generalized pentagonal e
+    assert form_bits(3, 1, 15).support() == (0, 1, 2, 5, 7, 12, 15)
 
 
 # --- negative Pochhammer products ---------------------------------------------
@@ -353,6 +353,7 @@ def test_exponent_walk_users_match_closed_forms(k, i):
         if e <= n:
             theta[e] += 1
     assert theta_sum(k, i, n).coeffs == tuple(theta)
+    assert form_bits(k, i, n).support() == tuple(e for e, c in enumerate(theta) if c % 2)
 
     witnesses = {}
     for m in range(1, n + 1):
@@ -375,5 +376,6 @@ def test_exponent_walk_users_match_closed_forms(k, i):
     assert eta_product(i, n).coeffs == tuple(eta)
 
     pents = {j * (3 * j - 1) // 2 for j in range(-n, n + 1) if j}
-    assert generalized_pentagonals(n) == frozenset(e for e in pents if e <= n)
+    expected = sorted({0} | {e for e in pents if e <= n})
+    assert form_bits(3, 1, n).support() == tuple(expected)
 
