@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import sys
@@ -18,6 +19,7 @@ from .checks import CAP_EXACT, CAP_PARITY
 from .errors import DiscrepancyError, ParameterError, SingoverError
 from .oracle import DEFAULT_CAP, MAX_CAP
 from .params import SingularParams
+from .parity import _require_prime
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,7 @@ def cmd_density(args, out) -> int:
     if not 1 <= args.x <= CAP_PARITY:
         raise ParameterError(f"--x must be in [1, {CAP_PARITY}]")
     params = SingularParams(args.p, 1)
+    _require_prime(args.p)  # before the table, which costs O(X)
     table = tables.parity_table(params, args.x)
     try:
         report = distribution.parity_census(
@@ -185,7 +188,9 @@ def cmd_density(args, out) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="singover",
         description="Singular overpartition tables and mechanical parity checks.",

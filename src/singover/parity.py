@@ -221,16 +221,15 @@ class ParityWitness:
 
 
 def _scan_interval(params, table, lo, hi, want_bit, ell, label) -> ParityWitness:
-    if table.trunc_degree < hi:
-        raise TableTooShortError(
-            f"table degree {table.trunc_degree} does not cover the interval "
-            f"[{lo}, {hi}]"
-        )
-    for n in range(lo, hi + 1):
-        if table.parity(n) == want_bit:
-            return ParityWitness(
-                params, n, "odd" if want_bit else "even", lo, hi, ell
-            )
+    """The smallest n in [lo, hi] with table parity want_bit, read as one
+    window of bits: the lowest set bit of the window (odd) or of its
+    complement (even)."""
+    found = table.window(lo, hi)
+    if not want_bit:
+        found ^= (1 << (hi - lo + 1)) - 1
+    if found:
+        n = lo + (found & -found).bit_length() - 1
+        return ParityWitness(params, n, "odd" if want_bit else "even", lo, hi, ell)
     raise DiscrepancyError(
         f"no {label} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
         f"(l = {ell}); this contradicts a proven statement",

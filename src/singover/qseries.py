@@ -349,41 +349,68 @@ def mul_f2(s: TruncSeriesF2, t: TruncSeriesF2) -> TruncSeriesF2:
     return TruncSeriesF2(_mul_bits(s.bits, t.bits) & mask, n)
 
 
-# Squaring over GF(2) spreads bit n to bit 2n; done bytewise via a table.
-_SPREAD = []
-for _byte in range(256):
-    _v = 0
-    for _i in range(8):
-        if (_byte >> _i) & 1:
-            _v |= 1 << (2 * _i)
-    _SPREAD.append(_v.to_bytes(2, "little"))
-del _byte, _v, _i
+# Byte tables for bytes.translate. _SPREAD_LO maps a byte to its low
+# nibble with bit j moved to bit 2j, _SPREAD_HI the same for its high
+# nibble; _GATHER_LO maps a byte to its bits 0, 2, 4, 6 moved to bits
+# 0..3, and _GATHER_HI to bits 4..7.
+_SPREAD_LO = bytes(sum(((b >> j) & 1) << (2 * j) for j in range(4)) for b in range(256))
+_SPREAD_HI = bytes(_SPREAD_LO[b >> 4] for b in range(256))
+_GATHER_LO = bytes(sum(((b >> (2 * j)) & 1) << j for j in range(4)) for b in range(256))
+_GATHER_HI = bytes(v << 4 for v in _GATHER_LO)
 
 
 def _square_bits(x: int) -> int:
-    nbytes = (x.bit_length() + 7) // 8
-    if nbytes == 0:
-        return 0
-    xb = x.to_bytes(nbytes, "little")
-    return int.from_bytes(b"".join(map(_SPREAD.__getitem__, xb)), "little")
+    """The spread x(q^2), bit n to bit 2n: the square of x over GF(2).
+
+    Byte j of x spreads to bytes 2j (its low nibble) and 2j+1 (its high
+    nibble), each one ``bytes.translate`` over the whole of x, interleaved
+    by extended-slice assignment. ``inv_f2`` spreads its two half-length
+    products with it: t*r^2 = spread(A*r) XOR q*spread(B*r).
+    """
+    xb = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(xb))
+    out[0::2] = xb.translate(_SPREAD_LO)
+    out[1::2] = xb.translate(_SPREAD_HI)
+    return int.from_bytes(out, "little")
+
+
+def _even_bits(x: int) -> int:
+    """The bits 0, 2, 4, ... of x packed together: A with x = A(q^2) + q*B(q^2)."""
+    xb = x.to_bytes(2 * ((x.bit_length() + 15) // 16), "little")
+    lo = int.from_bytes(xb[0::2].translate(_GATHER_LO), "little")
+    return lo | int.from_bytes(xb[1::2].translate(_GATHER_HI), "little")
 
 
 def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     """Multiplicative inverse of a parity series with constant term 1.
 
     Newton lifting in characteristic 2: if t*r = 1 (mod q^m) then
-    r' = t*r^2 satisfies t*r' = (t*r)^2 = 1 (mod q^(2m)), so the
-    precision doubles per round using only squarings and one product.
+    r' = t*r^2 satisfies t*r' = (t*r)^2 = 1 (mod q^(2m)). Over GF(2),
+    r^2 = r(q^2), so with t split once as t = A(q^2) + q*B(q^2),
+
+        t*r^2 = spread(A*r) + q*spread(B*r)    (+ is XOR),
+
+    and each round forms A*r and B*r only modulo q^m, on integers half
+    as long as t*r^2. The precisions are N+1, ceil((N+1)/2), ... down
+    to 1, taken from the bottom: each round lifts m to 2m or 2m-1, and
+    the last one ends at N+1 with no overshoot.
     """
     if not t.bits & 1:
         raise NonUnitDivisorError("parity inverse needs constant term 1")
     n = t.trunc_degree
-    r = 1
-    prec = 1
-    while prec < n + 1:
-        prec = min(2 * prec, n + 1)
-        mask = (1 << prec) - 1
-        r = _mul_bits(t.bits & mask, _square_bits(r)) & mask
+    even, odd = _even_bits(t.bits), _even_bits(t.bits >> 1)
+    precs = []
+    m = n + 1
+    while m > 1:
+        precs.append(m)
+        m = (m + 1) // 2
+    r = 1  # the inverse mod q^m, with m = 1
+    for prec in reversed(precs):
+        mask = (1 << ((prec + 1) // 2)) - 1  # r has exactly this precision
+        r = _square_bits(_mul_bits(even & mask, r) & mask) | (
+            _square_bits(_mul_bits(odd & mask, r) & mask) << 1
+        )
+        r &= (1 << prec) - 1
     return TruncSeriesF2(r, n)
 
 

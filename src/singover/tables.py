@@ -45,6 +45,13 @@ from .errors import ParameterError, TableTooShortError
 from .params import SingularParams
 
 
+def _require_covers(table, lo: int, hi: int) -> None:
+    if hi > table.trunc_degree:
+        raise TableTooShortError(
+            f"table degree {table.trunc_degree} does not cover the interval [{lo}, {hi}]"
+        )
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Exact values C-bar_{k,i}(0..N) with their provenance tag."""
@@ -72,6 +79,11 @@ class CoeffTable:
 
     def parity(self, n: int) -> int:
         return self.value(n) & 1
+
+    def window(self, lo: int, hi: int) -> int:
+        """Parities of degrees lo..hi packed into one int, degree lo + j at bit j."""
+        _require_covers(self, lo, hi)
+        return int("0" + "".join(str(v & 1) for v in reversed(self.values[lo : hi + 1])), 2)
 
     def truncate(self, trunc_degree: int) -> "CoeffTable":
         if trunc_degree > self.trunc_degree:
@@ -101,6 +113,11 @@ class ParityTable:
                 f"parity table covers degrees 0..{self.trunc_degree}, asked for {n}"
             )
         return (self.bits >> n) & 1
+
+    def window(self, lo: int, hi: int) -> int:
+        """Parities of degrees lo..hi packed into one int, degree lo + j at bit j."""
+        _require_covers(self, lo, hi)
+        return (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
 
     def truncate(self, trunc_degree: int) -> "ParityTable":
         if trunc_degree > self.trunc_degree:

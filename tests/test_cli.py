@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from singover import checks, cli
+from singover import checks, cli, tables
 
 
 def run_cli(args, capsys):
@@ -255,18 +255,61 @@ def test_plain_format(capsys):
     assert out.splitlines() == ["n=0 value=1 parity=1", "n=1 value=2 parity=0", "n=2 value=4 parity=0"]
 
 
-def test_module_entry_point():
-    # the child imports the same package as this test, installed or not
+def run_module(args):
+    """One `python -m singover` run in a child process: (code, stdout, stderr).
+
+    The child imports the same package as this test, installed or not.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "singover", "compute", "--k", "3", "--i", "1", "--n-max", "4"],
+        [sys.executable, "-m", "singover", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["values"][-1] == "10"
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point():
+    code, out, _ = run_module(["compute", "--k", "3", "--i", "1", "--n-max", "4"])
+    assert code == 0
+    assert json.loads(out)["values"][-1] == "10"
+
+
+SESSION = [
+    ["compute", "--k", "3", "--i", "1", "--n-max", "4"],
+    ["density", "--p", "5", "--x", "100", "--format", "csv"],
+    ["compute", "--bogus"],
+    ["verify", "--suite", "intervals", "--p", "7", "--ell-max", "13", "--format", "plain"],
+    ["density", "--p", "9", "--x", "10"],
+    ["verify", "--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "30"],
+    ["density", "--p", "5"],
+]
+
+
+def test_one_parser_serves_a_session_like_separate_runs(capsys):
+    # usage errors included: argparse exits 2 the same way on a reused parser
+    cli._build_parser.cache_clear()
+    session = []
+    for args in SESSION:
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        session.append((code, *capsys.readouterr()))
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in session] == [0, 0, 2, 0, 2, 0, 2]
+    assert session == [run_module(args) for args in SESSION]
+
+
+@pytest.mark.parametrize("p", ["4", "9", "25"])
+def test_density_rejects_composite_p_before_building_the_table(capsys, monkeypatch, p):
+    built = []
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: built.append(n))
+    code, out, err = run_cli(["density", "--p", p, "--x", "1000000"], capsys)
+    assert (code, out, err) == (2, "", f"parameter error: p must be a prime >= 5, got {p}\n")
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ from singover.errors import DegreeMismatchError, NonUnitDivisorError, ParameterE
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
+    _even_bits,
     _mul_bits,
     _set_bits,
+    _square_bits,
     div,
     div_f2,
     eta_product,
@@ -169,3 +171,53 @@ packed = st.one_of(
 @given(packed, packed)
 def test_mul_bits_matches_lowest_bit_loop(x, y):
     assert _mul_bits(x, y) == _mul_bits_by_lowest_bit(x, y)
+
+
+# --- the Newton kernel ----------------------------------------------------------
+
+
+def _spread_by_digits(x):
+    """x(q^2), built one binary digit of x at a time."""
+    out = []
+    for digit in bin(x)[:1:-1]:  # bit 0 first
+        out += (digit, "0")
+    return int("".join(reversed(out)), 2)
+
+
+def _inv_by_full_length_newton(t):
+    """Newton inversion with one full-length product t*r^2 per doubling round."""
+    r = 1
+    prec = 1
+    while prec < t.trunc_degree + 1:
+        prec = min(2 * prec, t.trunc_degree + 1)
+        mask = (1 << prec) - 1
+        r = _mul_bits(t.bits & mask, _spread_by_digits(r)) & mask
+    return r
+
+
+def test_square_bits_spreads_every_bit():
+    rng = random.Random(0x5B12)
+    cases = [0, 1, 1 << 100_000]
+    cases += [rng.getrandbits(w) for w in (1, 7, 8, 9, 15, 16, 17, 64, 1000, 20_001) for _ in range(5)]
+    for x in cases:
+        assert _square_bits(x) == _spread_by_digits(x)
+        # the split t = A(q^2) + q*B(q^2) that inv_f2 makes once per call
+        assert _square_bits(_even_bits(x)) | (_square_bits(_even_bits(x >> 1)) << 1) == x
+
+
+KERNEL_DEGREES = sorted(
+    {0, 1, 2, 3, 10007} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_inv_f2_matches_full_length_newton(n):
+    rng = random.Random(n)
+    units = [
+        form_bits(3, 1, n),
+        form_bits(5, 1, n),
+        form_bits(13, 4, n),
+        TruncSeriesF2(rng.getrandbits(n + 1) | 1, n),
+    ]
+    for t in units:
+        assert inv_f2(t).bits == _inv_by_full_length_newton(t)

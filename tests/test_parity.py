@@ -16,6 +16,7 @@ from singover.errors import (
 )
 from singover.params import SingularParams
 from singover.parity import (
+    ParityWitness,
     convolution_mismatches,
     convolution_parity_check,
     convolution_parity_failures,
@@ -25,6 +26,7 @@ from singover.parity import (
     find_odd_in_interval,
     first_convolution_mismatch,
     form_witness,
+    _scan_interval,
 )
 from singover.oracle import enumerate_overpartitions
 from singover.tables import CoeffTable, ParityTable, coefficients_theta, parity_table
@@ -340,6 +342,60 @@ def test_witness_discrepancy_on_fabricated_table():
     fake = CoeffTable(params, (1,) * 27, "oracle")
     with pytest.raises(DiscrepancyError):
         find_even_in_interval(params, 4, fake)
+
+
+def _scan_by_degree(table, lo, hi, want_bit):
+    """The smallest n in [lo, hi] with the wanted parity, probing one n at a time."""
+    return next((n for n in range(lo, hi + 1) if table.parity(n) == want_bit), None)
+
+
+def _fabricated(kind, params, odd_degrees, n_max):
+    if kind == "parity":
+        return ParityTable(params, sum(1 << n for n in odd_degrees), n_max, "fake")
+    values = tuple(3 if n in odd_degrees else 2 for n in range(n_max + 1))
+    return CoeffTable(params, values, "fake")
+
+
+@pytest.mark.parametrize("kind", ["parity", "coeff"])
+def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
+    params = SingularParams(5, 1)
+    lo, hi, n_max = 4, 26, 30
+    every = set(range(n_max + 1))
+
+    def scan(odd_degrees, want_bit):
+        table = _fabricated(kind, params, odd_degrees, n_max)
+        return _scan_interval(params, table, lo, hi, want_bit, 4, "x")
+
+    assert scan({lo}, 1).n == lo
+    assert scan({hi}, 1).n == hi
+    assert scan({hi, lo + 1}, 1).n == lo + 1
+    assert scan(every - {lo}, 0).n == lo
+    assert scan(every - {hi}, 0) == ParityWitness(params, hi, "even", lo, hi, 4)
+    # degrees just outside [lo, hi] do not count
+    for odd_degrees, want_bit in (({lo - 1, hi + 1}, 1), (every - {lo - 1, hi + 1}, 0)):
+        with pytest.raises(DiscrepancyError) as exc:
+            scan(odd_degrees, want_bit)
+        assert exc.value.payload == {"params": (5, 1), "lo": lo, "hi": hi, "ell": 4}
+    with pytest.raises(TableTooShortError):
+        _scan_interval(params, _fabricated(kind, params, every, hi - 1), lo, hi, 1, 4, "x")
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_interval_scan_matches_a_per_degree_scan(p):
+    params = SingularParams(p, 1)
+    top = 60 * (3 * 60 + 1) // 2
+    for table in (parity_table(params, top), coefficients_theta(params, top)):
+        for ell in range(2, 61):
+            for lo, hi, want_bit in (
+                (ell, ell * (3 * ell + 1) // 2, 0),
+                (2 * ell - 1, ell * (3 * ell - 1) // 2, 1),
+            ):
+                expected = _scan_by_degree(table, lo, hi, want_bit)
+                if expected is None:
+                    with pytest.raises(DiscrepancyError):
+                        _scan_interval(params, table, lo, hi, want_bit, ell, "x")
+                else:
+                    assert _scan_interval(params, table, lo, hi, want_bit, ell, "x").n == expected
 
 
 # --- cited parity facts at moderate degree -------------------------------------

@@ -279,6 +279,25 @@ def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
     assert high.values == _fresh("theta", params, 500)
 
 
+@pytest.mark.parametrize("k,i", [(5, 1), (8, 4)])
+def test_a_parity_build_calls_one_inverse_and_no_integer_series(monkeypatch, k, i):
+    # the layers a traced parity request reports: one GF(2) inverse, and
+    # no integer theta numerator, eta product or reduction mod 2
+    layers = ("inv_f2", "theta_sum", "eta_product", "reduce_mod2")
+    calls = dict.fromkeys(layers, 0)
+    for name in layers:
+        real = getattr(tables.qs, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tables.qs, name, counted)
+    clear_caches()
+    parity_table(SingularParams(k, i), 3000)
+    assert calls == {"inv_f2": 1, "theta_sum": 0, "eta_product": 0, "reduce_mod2": 0}
+
+
 def test_store_under_concurrent_requests():
     # more threads than cores and more pairs than the budget, so that
     # builds, truncations and evictions of one store interleave; a lost
