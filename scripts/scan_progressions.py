@@ -25,21 +25,20 @@ def main():
     )
     args = parser.parse_args()
 
-    params = SingularParams(args.p, 1)
-    table = parity_table(params, args.x)
-    bits = table.bits
+    table = parity_table(SingularParams(args.p, 1), args.x)
+    # the parity of degree n is character n, read once for every progression
+    digits = format(table.bits, "b").zfill(args.x + 1)[::-1]
 
     print(f"# candidates for constant parity of C-bar_{{{args.p},1}}(a n + b), "
           f"a n + b <= {args.x} (heuristic, no proof)")
     for a in range(2, args.a_max + 1):
         for b in range(a):
-            terms = range(b if b > 0 else a + b, args.x + 1, a)
-            count = len(terms)
+            sample = digits[b if b > 0 else a :: a]
+            count = len(sample)
             if count < args.min_hits:
                 continue
-            parities = {(bits >> n) & 1 for n in terms}
-            if len(parities) == 1:
-                parity = "odd" if parities == {1} else "even"
+            if "1" not in sample or "0" not in sample:
+                parity = "even" if "1" not in sample else "odd"
                 print(f"a={a:<3} b={b:<3} always {parity} over {count} samples")
 
 

@@ -58,8 +58,6 @@ from .qseries import (
     theta_sum,
 )
 from .tables import (
-    CoeffTable,
-    ParityTable,
     clear_caches,
     coefficients_product,
     coefficients_theta,
@@ -70,7 +68,6 @@ from .tables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffTable",
     "DEFAULT_CAP",
     "DEFAULT_SEEDS",
     "DegreeMismatchError",
@@ -81,7 +78,6 @@ __all__ = [
     "OracleCapError",
     "OverpartitionCount",
     "ParameterError",
-    "ParityTable",
     "ParityWitness",
     "PreconditionError",
     "SingoverError",

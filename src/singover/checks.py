@@ -21,7 +21,7 @@ from typing import Callable
 from . import parity, tables
 from . import qseries as qs
 from .errors import PreconditionError, SingoverError
-from .oracle import DEFAULT_CAP, dp_table
+from .oracle import MAX_CAP, dp_table
 from .params import SingularParams
 
 # Degree caps: exact big-integer tables and packed-parity tables.
@@ -33,49 +33,39 @@ CAP_EXCLUSIONS = 1_000_000
 CAP_INTERVALS = (math.isqrt(24 * CAP_PARITY + 1) - 1) // 6
 
 
-def oracle(k: int, i: int, n_max: int, oracle_cap: int) -> list[dict]:
+def _record(name: str, bad: list, key="mismatches", count_key="mismatch_count") -> dict:
+    """A check that passes when bad is empty; detail lists its first ten and the total."""
+    return {"name": name, "passed": not bad, "detail": {key: bad[:10], count_key: len(bad)}}
+
+
+def _differing(a, b) -> list[int]:
+    """The degrees at which two equally long coefficient sequences differ."""
+    return [n for n, (x, y) in enumerate(zip(a, b)) if x != y]
+
+
+def oracle(k: int, i: int, n_max: int) -> list[dict]:
     params = SingularParams(k, i)
-    n_max = min(n_max, oracle_cap)
     table = tables.coefficients_theta(params, n_max)
-    counts = dp_table(params, n_max)
-    bad = [n for n in range(n_max + 1) if table[n] != counts[n]]
-    return [
-        {
-            "name": f"series-vs-enumeration-k{k}-i{i}-n{n_max}",
-            "passed": not bad,
-            "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
-        }
-    ]
+    bad = _differing(table.coeffs, dp_table(params, n_max))
+    return [_record(f"series-vs-enumeration-k{k}-i{i}-n{n_max}", bad)]
 
 
 def pipelines(k: int, i: int, n_max: int) -> list[dict]:
     params = SingularParams(k, i)
     prod = tables.coefficients_product(params, n_max)
     theta = tables.coefficients_theta(params, n_max)
-    bad = [n for n in range(n_max + 1) if prod[n] != theta[n]]
-    return [
-        {
-            "name": f"product-vs-theta-k{k}-i{i}-n{n_max}",
-            "passed": not bad,
-            "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
-        }
-    ]
+    bad = _differing(prod.coeffs, theta.coeffs)
+    return [_record(f"product-vs-theta-k{k}-i{i}-n{n_max}", bad)]
 
 
 def special_forms(k: int = 1, *, n_max: int) -> list[dict]:
     """The three eta-quotients of scale k against the general product."""
     results = []
-    for family in ("3k", "4k", "6k"):
+    for family, (factor, _, _) in tables._SPECIAL_FAMILIES.items():
         special = tables.special_form(family, k, n_max)
-        general = tables.coefficients_product(special.params, n_max)
-        bad = [n for n in range(n_max + 1) if special[n] != general[n]]
-        results.append(
-            {
-                "name": f"special-{family}-scale{k}-n{n_max}",
-                "passed": not bad,
-                "detail": {"mismatches": bad[:10], "mismatch_count": len(bad)},
-            }
-        )
+        general = tables.coefficients_product(SingularParams(factor * k, k), n_max)
+        bad = _differing(special.coeffs, general.coeffs)
+        results.append(_record(f"special-{family}-scale{k}-n{n_max}", bad))
     return results
 
 
@@ -97,21 +87,9 @@ def parity_facts(n_max: int) -> list[dict]:
     bad41 = qs._set_bits(t41.bits & odd_degrees)
     bad62 = qs._set_bits((t62.bits ^ pents) & degrees)
     return [
-        {
-            "name": f"c31-always-even-n{n_max}",
-            "passed": not bad31,
-            "detail": {"odd_at": bad31[:10], "failure_count": len(bad31)},
-        },
-        {
-            "name": f"c41-odd-arguments-even-n{n_max}",
-            "passed": not bad41,
-            "detail": {"odd_at": bad41[:10], "failure_count": len(bad41)},
-        },
-        {
-            "name": f"c62-odd-iff-pentagonal-n{n_max}",
-            "passed": not bad62,
-            "detail": {"mismatch_at": bad62[:10], "mismatch_count": len(bad62)},
-        },
+        _record(f"c31-always-even-n{n_max}", bad31, "odd_at", "failure_count"),
+        _record(f"c41-odd-arguments-even-n{n_max}", bad41, "odd_at", "failure_count"),
+        _record(f"c62-odd-iff-pentagonal-n{n_max}", bad62, "mismatch_at"),
     ]
 
 
@@ -129,29 +107,20 @@ def lemma1(k: int, i: int, n_max: int) -> list[dict]:
                 "mismatch_count": len(wholesale),
             },
         },
-        {
-            "name": f"convolution-per-n-k{k}-i{i}-n{n_max}",
-            "passed": not bad,
-            "detail": {"failures": bad[:10], "failure_count": len(bad)},
-        },
+        _record(f"convolution-per-n-k{k}-i{i}-n{n_max}", bad, "failures", "failure_count"),
     ]
 
 
 def exclusions(p: int, ell_max: int) -> list[dict]:
-    results = []
-    for variant in ("even", "odd"):
-        bad = parity.exclusion_counterexamples(p, ell_max, variant)
-        results.append(
-            {
-                "name": f"{variant}-exclusion-p{p}-ell{ell_max}",
-                "passed": not bad,
-                "detail": {
-                    "counterexamples": bad[:10],
-                    "counterexample_count": len(bad),
-                },
-            }
+    return [
+        _record(
+            f"{variant}-exclusion-p{p}-ell{ell_max}",
+            parity.exclusion_counterexamples(p, ell_max, variant),
+            "counterexamples",
+            "counterexample_count",
         )
-    return results
+        for variant in ("even", "odd")
+    ]
 
 
 def intervals(p: int, ell_max: int, mode: str) -> list[dict]:
@@ -203,7 +172,7 @@ def all_suites() -> list[dict]:
     for k, i in ((3, 1), (4, 1), (5, 1), (5, 2), (6, 2)):
         results += pipelines(k=k, i=i, n_max=200)
         results += lemma1(k=k, i=i, n_max=200)
-        results += oracle(k=k, i=i, n_max=20, oracle_cap=DEFAULT_CAP)
+        results += oracle(k=k, i=i, n_max=20)
     results += special_forms(k=1, n_max=200)
     results += parity_facts(n_max=400)
     results += exclusions(p=5, ell_max=500)
@@ -218,7 +187,7 @@ class Suite:
 
 
 SUITES = {
-    "oracle": Suite(oracle, ("n_max", 1, CAP_EXACT)),
+    "oracle": Suite(oracle, ("n_max", 1, MAX_CAP)),
     "pipelines": Suite(pipelines, ("n_max", 0, CAP_EXACT)),
     "special-forms": Suite(special_forms, ("n_max", 0, CAP_EXACT)),
     "parity-facts": Suite(parity_facts, ("n_max", 1, CAP_PARITY)),

@@ -17,9 +17,7 @@ import sys
 from . import checks, distribution, tables
 from .checks import CAP_EXACT, CAP_PARITY
 from .errors import DiscrepancyError, ParameterError, SingoverError
-from .oracle import DEFAULT_CAP, MAX_CAP
 from .params import SingularParams
-from .parity import _require_prime
 
 
 # ---------------------------------------------------------------------------
@@ -37,27 +35,27 @@ def _emit_csv_rows(header, rows, out) -> None:
         writer.writerow(row)
 
 
-def _table_payload(params: SingularParams, table) -> dict:
+def _table_payload(params: SingularParams, source: str, table) -> dict:
     return {
         "params": {"k": params.k, "i": params.i},
         "N": table.trunc_degree,
-        "source": table.source,
-        "values": [str(v) for v in table.values],
-        "parities": [v & 1 for v in table.values],
+        "source": source,
+        "values": [str(v) for v in table.coeffs],
+        "parities": [v & 1 for v in table.coeffs],
     }
 
 
-def _emit_table(params, table, fmt, out) -> None:
+def _emit_table(params, source, table, fmt, out) -> None:
     if fmt == "json":
-        _emit_json(_table_payload(params, table), out)
+        _emit_json(_table_payload(params, source, table), out)
     elif fmt == "csv":
         _emit_csv_rows(
             ("n", "value", "parity"),
-            ((n, v, v & 1) for n, v in enumerate(table.values)),
+            ((n, v, v & 1) for n, v in enumerate(table.coeffs)),
             out,
         )
     else:
-        for n, v in enumerate(table.values):
+        for n, v in enumerate(table.coeffs):
             out.write(f"n={n} value={v} parity={v & 1}\n")
 
 
@@ -105,7 +103,7 @@ def cmd_compute(args, out) -> int:
         if args.source == "product"
         else tables.coefficients_theta
     )
-    _emit_table(params, build(params, args.n_max), args.fmt, out)
+    _emit_table(params, args.source, build(params, args.n_max), args.fmt, out)
     return 0
 
 
@@ -130,8 +128,6 @@ def cmd_verify(args, out) -> int:
             )
         if config[name] > greatest:
             raise ParameterError(f"{flag} must be <= {greatest} for suite {args.suite!r}")
-    if not 1 <= args.oracle_cap <= MAX_CAP:
-        raise ParameterError(f"--oracle-cap must be in [1, {MAX_CAP}]")
     results = suite.run(**config)
     return 0 if _emit_checks(args.suite, config, results, args.fmt, out) else 1
 
@@ -168,12 +164,9 @@ def _emit_density(report, fmt, out) -> None:
 def cmd_density(args, out) -> int:
     if not 1 <= args.x <= CAP_PARITY:
         raise ParameterError(f"--x must be in [1, {CAP_PARITY}]")
-    params = SingularParams(args.p, 1)
-    _require_prime(args.p)  # before the table, which costs O(X)
-    table = tables.parity_table(params, args.x)
     try:
         report = distribution.parity_census(
-            args.p, args.x, table, seed_even=args.seed_even, seed_odd=args.seed_odd
+            args.p, args.x, seed_even=args.seed_even, seed_odd=args.seed_odd
         )
     except DiscrepancyError as exc:
         if exc.payload is not None:
@@ -219,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=200)
     p_verify.add_argument("--ell-max", type=int, default=20)
     p_verify.add_argument("--mode", choices=("single", "strict"), default="single")
-    p_verify.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     add_fmt(p_verify)
 
     p_density = sub.add_parser(

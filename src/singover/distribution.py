@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DiscrepancyError, ParameterError, TableTooShortError
+from . import tables
+from .errors import DiscrepancyError, ParameterError
 from .params import SingularParams
 from .parity import ParityWitness, _require_prime, _scan_interval
-from .tables import ParityTable
 
 _VARIANTS = ("even", "odd")
 # Index of the first term: the even variant is written a_0, a_1, ...,
@@ -136,43 +136,27 @@ class DensityReport:
     odd_dominates: bool
 
 
-def _count_parities(table, cutoff: int) -> tuple[int, int]:
-    if table.trunc_degree < cutoff:
-        raise TableTooShortError(
-            f"table degree {table.trunc_degree} does not cover X = {cutoff}"
-        )
-    if isinstance(table, ParityTable):
-        window = (table.bits >> 1) & ((1 << cutoff) - 1)
-        odd = window.bit_count()
-    else:
-        odd = sum(v & 1 for v in table.values[1 : cutoff + 1])
-    return cutoff - odd, odd
-
-
 def parity_census(
     p: int,
     cutoff: int,
-    table,
     seed_even: int = DEFAULT_SEEDS["even"],
     seed_odd: int = DEFAULT_SEEDS["odd"],
 ) -> DensityReport:
     """Count even and odd values of C-bar_{p,1}(n) for 1 <= n <= X.
 
-    Both counts must dominate the floor(nu/2) bound coming from their
-    witness sequence; a violation raises DiscrepancyError carrying the
-    failing report.
+    p, X and the seeds are checked before the parity table, which costs
+    O(X), is built. Both counts must dominate the floor(nu/2) bound
+    coming from their witness sequence; a violation raises
+    DiscrepancyError carrying the failing report.
     """
+    params = SingularParams(p, 1)
     _require_prime(p)
     if cutoff < 1:
         raise ParameterError(f"X must be >= 1, got {cutoff}")
-    if table.params != SingularParams(p, 1):
-        raise ParameterError(
-            f"table is for (k, i) = ({table.params.k}, {table.params.i}), "
-            f"census is about ({p}, 1)"
-        )
-    even_count, odd_count = _count_parities(table, cutoff)
     nu_even = build_sequence("even", seed_even, cutoff).nu
     nu_odd = build_sequence("odd", seed_odd, cutoff).nu
+    odd_count = tables.parity_table(params, cutoff).window(1, cutoff).bit_count()
+    even_count = cutoff - odd_count
     report = DensityReport(
         p=p,
         cutoff=cutoff,

@@ -94,7 +94,7 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
     return _convolution_holds(
-        table.values, n, _pentagonal_offsets(n), exceptional_set(params, n)
+        table.coeffs, n, _pentagonal_offsets(n), exceptional_set(params, n)
     )
 
 
@@ -107,7 +107,7 @@ def convolution_parity_failures(params: SingularParams, table) -> list[int]:
     """
     exceptional = exceptional_set(params, table.trunc_degree)
     offsets = _pentagonal_offsets(table.trunc_degree)
-    parities = [v & 1 for v in table.values]
+    parities = [v & 1 for v in table.coeffs]
     return [
         n
         for n in range(1, table.trunc_degree + 1)
@@ -143,7 +143,7 @@ def convolution_mismatches(params: SingularParams, table) -> list[int]:
     identity holds through the truncation degree.
     """
     n = table.trunc_degree
-    lhs = qs.mul_f2(qs.form_bits(3, 1, n), qs.reduce_mod2(table.series()))
+    lhs = qs.mul_f2(qs.form_bits(3, 1, n), qs.reduce_mod2(table))
     rhs = qs.form_bits(params.k, params.i, n)
     return qs._set_bits(lhs.bits ^ rhs.bits)
 
@@ -257,10 +257,10 @@ def _require_excluded(params: SingularParams, target: int, mode: str) -> None:
 def find_even_in_interval(
     params: SingularParams, ell: int, table, mode: str = "single"
 ) -> ParityWitness:
-    """Smallest n in [l, l(3l+1)/2] with an even table value.
+    """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0.
 
-    Requires l(3l+1) to avoid the quadratic form (checked here, for the
-    table's own i in "single" mode or every i <= k/2 in "strict" mode).
+    Requires l(3l+1) to avoid the quadratic form (checked here, for
+    params.i in "single" mode or every i <= k/2 in "strict" mode).
     Existence is then guaranteed; an exhausted interval raises
     DiscrepancyError.
     """
@@ -274,7 +274,7 @@ def find_even_in_interval(
 def find_odd_in_interval(
     params: SingularParams, ell: int, table, mode: str = "single"
 ) -> ParityWitness:
-    """Smallest n in [2l-1, l(3l-1)/2] with an odd table value."""
+    """Smallest n in [2l-1, l(3l-1)/2] whose bit in the parity table is 1."""
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
     t = ell * (3 * ell - 1)

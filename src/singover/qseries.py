@@ -13,6 +13,7 @@ from .errors import (
     DegreeMismatchError,
     NonUnitDivisorError,
     ParameterError,
+    TableTooShortError,
 )
 from .params import SingularParams
 
@@ -93,6 +94,14 @@ class TruncSeriesF2:
 
     def support(self) -> tuple[int, ...]:
         return tuple(_set_bits(self.bits))
+
+    def window(self, lo: int, hi: int) -> int:
+        """Bits of degrees lo..hi packed into one int, degree lo + j at bit j."""
+        if hi > self.trunc_degree:
+            raise TableTooShortError(
+                f"table degree {self.trunc_degree} does not cover the interval [{lo}, {hi}]"
+            )
+        return (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
 
     def truncate(self, trunc_degree: int) -> "TruncSeriesF2":
         if trunc_degree > self.trunc_degree:

@@ -1,5 +1,11 @@
 """Coefficient tables C-bar_{k,i}(0..N) from independent series pipelines.
 
+A table is the series itself: the exact routes return the
+``qseries.TruncSeriesZ`` they build, with C-bar(n) at ``coeffs[n]``,
+and ``parity_table`` returns a ``qseries.TruncSeriesF2``, with the
+parity of C-bar(n) at bit n of ``bits``. The caller knows which (k, i)
+and which route it asked for, so a table carries neither.
+
 Three routes to the same numbers:
 
 * ``coefficients_product``: the defining infinite-product quotient
@@ -38,94 +44,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from . import qseries as qs
-from .errors import ParameterError, TableTooShortError
+from .errors import ParameterError
 from .params import SingularParams
-
-
-def _require_covers(table, lo: int, hi: int) -> None:
-    if hi > table.trunc_degree:
-        raise TableTooShortError(
-            f"table degree {table.trunc_degree} does not cover the interval [{lo}, {hi}]"
-        )
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Exact values C-bar_{k,i}(0..N) with their provenance tag."""
-
-    params: SingularParams
-    values: tuple[int, ...]
-    source: str
-
-    @property
-    def trunc_degree(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def value(self, n: int) -> int:
-        """Table value with the convention C-bar(n) = 0 for n < 0."""
-        if n < 0:
-            return 0
-        if n > self.trunc_degree:
-            raise TableTooShortError(
-                f"table covers degrees 0..{self.trunc_degree}, asked for {n}"
-            )
-        return self.values[n]
-
-    def parity(self, n: int) -> int:
-        return self.value(n) & 1
-
-    def window(self, lo: int, hi: int) -> int:
-        """Parities of degrees lo..hi packed into one int, degree lo + j at bit j."""
-        _require_covers(self, lo, hi)
-        return int("0" + "".join(str(v & 1) for v in reversed(self.values[lo : hi + 1])), 2)
-
-    def truncate(self, trunc_degree: int) -> "CoeffTable":
-        if trunc_degree > self.trunc_degree:
-            raise ParameterError(
-                f"cannot extend table degree {self.trunc_degree} to {trunc_degree}"
-            )
-        return CoeffTable(self.params, self.values[: trunc_degree + 1], self.source)
-
-    def series(self) -> qs.TruncSeriesZ:
-        return qs.TruncSeriesZ(self.values)
-
-
-@dataclass(frozen=True)
-class ParityTable:
-    """Parities of C-bar_{k,i}(0..N), packed one bit per degree."""
-
-    params: SingularParams
-    bits: int
-    trunc_degree: int
-    source: str
-
-    def parity(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n > self.trunc_degree:
-            raise TableTooShortError(
-                f"parity table covers degrees 0..{self.trunc_degree}, asked for {n}"
-            )
-        return (self.bits >> n) & 1
-
-    def window(self, lo: int, hi: int) -> int:
-        """Parities of degrees lo..hi packed into one int, degree lo + j at bit j."""
-        _require_covers(self, lo, hi)
-        return (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-    def truncate(self, trunc_degree: int) -> "ParityTable":
-        if trunc_degree > self.trunc_degree:
-            raise ParameterError(
-                f"cannot extend table degree {self.trunc_degree} to {trunc_degree}"
-            )
-        mask = (1 << (trunc_degree + 1)) - 1
-        return ParityTable(self.params, self.bits & mask, trunc_degree, self.source)
 
 
 # Most (k, i) pairs one route's store holds; past it the least recently
@@ -174,32 +96,31 @@ class _TableStore:
         return params in self._held
 
 
-def _grow_product(params, trunc_degree, held) -> CoeffTable:
+def _grow_product(params, trunc_degree, held) -> qs.TruncSeriesZ:
     k, i = params.k, params.i
     num = list(qs.eta_product(k, trunc_degree).coeffs)
     # At i = k/2 both calls apply the same factors: the formula lists the
     # overline factor twice and this route follows it literally.
     qs._mul_pochhammer_neg(num, i, k)
     qs._mul_pochhammer_neg(num, k - i, k)
-    values = qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree)).coeffs
-    return CoeffTable(params, values, "product")
+    return qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree))
 
 
-def _grow_theta(params, trunc_degree, held) -> CoeffTable:
+def _grow_theta(params, trunc_degree, held) -> qs.TruncSeriesZ:
     num = qs.theta_sum(params.k, params.i, trunc_degree)
     den = qs.eta_product(1, trunc_degree)
     if held is None:
-        return CoeffTable(params, qs.div(num, den).coeffs, "theta")
+        return qs.div(num, den)
     # The quotient is prefix-stable, so a held table is resumed, not redone.
-    values = list(held.values)
-    qs._div_extend(values, num.coeffs, den.coeffs)
-    return CoeffTable(params, tuple(values), "theta")
+    coeffs = list(held.coeffs)
+    qs._div_extend(coeffs, num.coeffs, den.coeffs)
+    return qs.TruncSeriesZ(coeffs)
 
 
-def _grow_parity(params, trunc_degree, held) -> ParityTable:
+def _grow_parity(params, trunc_degree, held) -> qs.TruncSeriesF2:
     theta = qs.form_bits(params.k, params.i, trunc_degree)
     penta = qs.form_bits(3, 1, trunc_degree)
-    return ParityTable(params, qs.div_f2(theta, penta).bits, trunc_degree, "theta")
+    return qs.div_f2(theta, penta)
 
 
 # Product and parity tables are rebuilt at a larger degree: no caller
@@ -210,17 +131,17 @@ _THETA = _TableStore(_grow_theta)
 _PARITY = _TableStore(_grow_parity)
 
 
-def coefficients_product(params: SingularParams, trunc_degree: int) -> CoeffTable:
+def coefficients_product(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
     """Table from the defining product quotient."""
     return _PRODUCT.get(params, trunc_degree)
 
 
-def coefficients_theta(params: SingularParams, trunc_degree: int) -> CoeffTable:
+def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
     """Table from the theta-numerator quotient (the fast exact route)."""
     return _THETA.get(params, trunc_degree)
 
 
-def parity_table(params: SingularParams, trunc_degree: int) -> ParityTable:
+def parity_table(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesF2:
     """Mod-2 table via the packed GF(2) theta quotient.
 
     The theta numerator and (q;q) mod 2 are ``qseries.form_bits``, one
@@ -240,7 +161,7 @@ _SPECIAL_FAMILIES = {
 }
 
 
-def special_form(family: str, k: int, trunc_degree: int) -> CoeffTable:
+def special_form(family: str, k: int, trunc_degree: int) -> qs.TruncSeriesZ:
     """Table for C-bar_{3k,k}, C-bar_{4k,k} or C-bar_{6k,k} from its eta-quotient."""
     if family not in _SPECIAL_FAMILIES:
         raise ParameterError(
@@ -250,15 +171,14 @@ def special_form(family: str, k: int, trunc_degree: int) -> CoeffTable:
         raise ParameterError(f"scale k must be >= 1, got {k}")
     if trunc_degree < 0:
         raise ParameterError("truncation degree must be nonnegative")
-    factor, nums, dens = _SPECIAL_FAMILIES[family]
-    params = SingularParams(factor * k, k)
+    _, nums, dens = _SPECIAL_FAMILIES[family]
     acc = qs.TruncSeriesZ.constant(1, trunc_degree)
     for m in nums:
         acc = qs.mul(acc, qs.eta_product(m * k, trunc_degree))
     for m in dens:
         step = 1 if m == "abs" else m * k
         acc = qs.div(acc, qs.eta_product(step, trunc_degree))
-    return CoeffTable(params, acc.coeffs, f"special{family}")
+    return acc
 
 
 def clear_caches() -> None:

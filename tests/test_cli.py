@@ -94,24 +94,28 @@ def test_verify_lemma1_half_k(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
-def test_oracle_cap_ceiling_exits_2(capsys):
-    code, out, err = run_cli(
-        ["verify", "--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "100",
-         "--oracle-cap", "100000"],
-        capsys,
-    )
-    assert code == 2 and "parameter error" in err and "--oracle-cap" in err
-    assert out == ""
+def test_oracle_cap_option_is_a_usage_error(capsys):
+    # the oracle's size is --n-max alone; the old --oracle-cap is unknown
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "100",
+                  "--oracle-cap", "100"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --oracle-cap 100" in err
 
 
 def test_oracle_at_the_cap(capsys):
-    base = ["verify", "--suite", "oracle", "--k", "13", "--i", "1", "--n-max", "2000"]
-    code, out, err = run_cli(base + ["--oracle-cap", "2001"], capsys)
-    assert code == 2 and "--oracle-cap must be in [1, 2000]" in err and out == ""
-    code, out, _ = run_cli(base + ["--oracle-cap", "2000"], capsys)
+    # the registry loop test refuses 2001; 2000 is checked in full
+    assert checks.SUITES["oracle"].size == ("n_max", 1, 2000)
+    code, out, _ = run_cli(
+        ["verify", "--suite", "oracle", "--k", "13", "--i", "1", "--n-max", "2000"], capsys
+    )
     assert code == 0
-    (check,) = json.loads(out)["checks"]
+    payload = json.loads(out)
+    assert payload["config"] == {"k": 13, "i": 1, "n_max": 2000}
+    (check,) = payload["checks"]
     assert check["name"] == "series-vs-enumeration-k13-i1-n2000" and check["passed"]
+    assert check["detail"] == {"mismatches": [], "mismatch_count": 0}
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])
@@ -312,6 +316,23 @@ def test_density_rejects_composite_p_before_building_the_table(capsys, monkeypat
     assert built == []
 
 
+@pytest.mark.parametrize("p", ["1", "2", "3"])
+def test_density_rejects_too_small_p_before_building_the_table(capsys, monkeypatch, p):
+    built = []
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: built.append(n))
+    code, out, err = run_cli(["density", "--p", p, "--x", "1000000"], capsys)
+    assert code == 2 and out == "" and err.startswith("parameter error: ")
+    assert built == []
+
+
+def test_an_option_a_suite_does_not_read_is_not_checked(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "intervals", "--p", "5", "--ell-max", "10", "--n-max", "0"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "argv,config",
     [
@@ -319,7 +340,7 @@ def test_density_rejects_composite_p_before_building_the_table(capsys, monkeypat
         (["--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "30"], {"k": 4, "i": 2, "n_max": 30}),
         (
             ["--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "8"],
-            {"k": 5, "i": 1, "n_max": 8, "oracle_cap": cli.DEFAULT_CAP},
+            {"k": 5, "i": 1, "n_max": 8},
         ),
         (["--suite", "parity-facts", "--n-max", "50"], {"n_max": 50}),
         (["--suite", "exclusions", "--p", "7", "--ell-max", "40"], {"p": 7, "ell_max": 40}),

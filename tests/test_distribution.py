@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singover import tables
 from singover.distribution import (
     DensityReport,
     build_sequence,
@@ -13,7 +14,8 @@ from singover.distribution import (
 )
 from singover.errors import DiscrepancyError, ParameterError, TableTooShortError
 from singover.params import SingularParams
-from singover.tables import ParityTable, coefficients_theta, parity_table
+from singover.qseries import TruncSeriesF2
+from singover.tables import coefficients_theta, parity_table
 
 
 def test_even_sequence_small():
@@ -78,11 +80,9 @@ def test_sequence_terms_are_big_integers():
 
 
 def test_census_partition_of_range():
-    params = SingularParams(5, 1)
-    table = parity_table(params, 2000)
-    report = parity_census(5, 10, table)
+    report = parity_census(5, 10)
     assert report.even_count + report.odd_count == 10
-    report = parity_census(5, 2000, table)
+    report = parity_census(5, 2000)
     assert report.even_count + report.odd_count == 2000
     assert report.even_count >= report.even_lower_bound
     assert report.odd_count >= report.odd_lower_bound
@@ -92,37 +92,56 @@ def test_census_partition_of_range():
 
 
 def test_census_other_prime():
-    params = SingularParams(7, 1)
-    table = parity_table(params, 2000)
-    report = parity_census(7, 2000, table)
+    report = parity_census(7, 2000)
     assert report.odd_count >= report.odd_lower_bound
     assert isinstance(report, DensityReport)
 
 
 def test_census_works_on_exact_tables_too():
-    params = SingularParams(5, 1)
-    exact = coefficients_theta(params, 300)
-    packed = parity_table(params, 300)
-    a = parity_census(5, 300, exact)
-    b = parity_census(5, 300, packed)
-    assert (a.even_count, a.odd_count) == (b.even_count, b.odd_count)
+    # the census counts agree with the parities of the exact table
+    exact = coefficients_theta(SingularParams(5, 1), 300)
+    odd = sum(v & 1 for v in exact.coeffs[1:])
+    report = parity_census(5, 300)
+    assert (report.even_count, report.odd_count) == (300 - odd, odd)
 
 
-def test_census_validation():
-    table = parity_table(SingularParams(5, 1), 100)
+def test_census_validation(monkeypatch):
     with pytest.raises(ParameterError):
-        parity_census(6, 50, table)  # composite
-    with pytest.raises(ParameterError):
-        parity_census(7, 50, table)  # table params mismatch
+        parity_census(6, 50)  # composite
+    # a table that stops short of X is refused, not read past its end
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: parity_table(params, n - 1))
     with pytest.raises(TableTooShortError):
-        parity_census(5, 101, table)
+        parity_census(5, 101)
 
 
-def test_census_discrepancy_carries_report():
+@pytest.mark.parametrize(
+    "p,cutoff,seeds",
+    [
+        (1, 10, {}),
+        (2, 10, {}),
+        (3, 10, {}),
+        (4, 10, {}),
+        (9, 10, {}),
+        (25, 10, {}),
+        (5, 0, {}),
+        (5, 10**6, {"seed_even": 5}),
+        (5, 10**6, {"seed_odd": 3}),
+        (5, 3, {"seed_even": 4}),
+    ],
+)
+def test_census_validates_its_input_before_building_the_table(monkeypatch, p, cutoff, seeds):
+    built = []
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: built.append(n))
+    with pytest.raises(ParameterError):
+        parity_census(p, cutoff, **seeds)
+    assert built == []
+
+
+def test_census_discrepancy_carries_report(monkeypatch):
     # fabricated all-even parities force the odd bound to fail
-    fake = ParityTable(SingularParams(5, 1), 1, 100, "fabricated")
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: TruncSeriesF2(1, n))
     with pytest.raises(DiscrepancyError) as err:
-        parity_census(5, 100, fake)
+        parity_census(5, 100)
     assert err.value.payload.odd_count == 0
     assert not err.value.payload.odd_dominates
 

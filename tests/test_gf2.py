@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singover.errors import DegreeMismatchError, NonUnitDivisorError, ParameterError
+from singover.errors import (
+    DegreeMismatchError,
+    NonUnitDivisorError,
+    ParameterError,
+    TableTooShortError,
+)
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
@@ -112,6 +117,17 @@ def test_truncate_f2():
     assert s.bit(3) == 1
     with pytest.raises(IndexError):
         s.bit(4)
+
+
+def test_window_f2_reads_lo_to_hi_and_refuses_past_the_end():
+    s = TruncSeriesF2(0b1011010, 6)
+    assert s.window(0, 6) == 0b1011010
+    assert s.window(1, 4) == 0b1101
+    assert s.window(6, 6) == 1
+    assert s.window(2, 1) == 0
+    with pytest.raises(TableTooShortError) as exc:
+        s.window(3, 7)
+    assert str(exc.value) == "table degree 6 does not cover the interval [3, 7]"
 
 
 # --- parity inputs built from exponent bits -----------------------------------

@@ -84,13 +84,13 @@ def test_half_k_counts_two_marks():
 @pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)
 def test_dp_table_matches_theta(k, i):
     params = SingularParams(k, i)
-    assert tuple(dp_table(params, 300)) == coefficients_theta(params, 300).values
+    assert tuple(dp_table(params, 300)) == coefficients_theta(params, 300).coeffs
 
 
 def test_oracle_check_lists_first_ten_mismatches(monkeypatch):
     # every count off by one: the total counts all 41, the list the first 10
     monkeypatch.setattr(checks, "dp_table", lambda params, n: [c + 1 for c in dp_table(params, n)])
-    (check,) = checks.oracle(k=5, i=1, n_max=40, oracle_cap=40)
+    (check,) = checks.oracle(k=5, i=1, n_max=40)
     assert not check["passed"]
     assert check["detail"] == {"mismatches": list(range(10)), "mismatch_count": 41}
 

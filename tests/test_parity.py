@@ -29,7 +29,7 @@ from singover.parity import (
     _scan_interval,
 )
 from singover.oracle import enumerate_overpartitions
-from singover.tables import CoeffTable, ParityTable, coefficients_theta, parity_table
+from singover.tables import coefficients_theta, parity_table
 
 
 def members(exc, bound):
@@ -37,8 +37,9 @@ def members(exc, bound):
 
 
 def enumerated_table(params, trunc_degree):
-    values = (enumerate_overpartitions(params, n).count for n in range(trunc_degree + 1))
-    return CoeffTable(params, tuple(values), "oracle")
+    return qs.TruncSeriesZ(
+        enumerate_overpartitions(params, n).count for n in range(trunc_degree + 1)
+    )
 
 
 # --- exceptional sets -------------------------------------------------------
@@ -120,9 +121,9 @@ def test_convolution_failures_match_the_per_n_check(k, i):
     params = SingularParams(k, i)
     table = coefficients_theta(params, 120)
     assert convolution_parity_failures(params, table) == []
-    values = list(table.values)
+    values = list(table.coeffs)
     values[40] += 1
-    bad_table = CoeffTable(params, tuple(values), "theta")
+    bad_table = qs.TruncSeriesZ(values)
     per_n = [n for n in range(1, 121) if not convolution_parity_check(params, n, bad_table)]
     assert 40 in per_n
     assert convolution_parity_failures(params, bad_table) == per_n
@@ -133,7 +134,7 @@ def test_convolution_failures_match_the_per_n_check(k, i):
 def integer_mismatches(params, table):
     """The wholesale check in integer arithmetic: multiply, then reduce."""
     n = table.trunc_degree
-    lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table.series()))
+    lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table))
     rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
     return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
 
@@ -150,13 +151,13 @@ def test_wholesale_gf2_matches_integer_form(k, i):
     rng = random.Random(f"{k},{i}")
     odd = rng.sample(range(251), 5)
     even = rng.sample(range(251), 5)
-    odd_values, even_values = list(table.values), list(table.values)
+    odd_values, even_values = list(table.coeffs), list(table.coeffs)
     for n in odd:
         odd_values[n] += rng.choice((-1, 1)) * (2 * rng.randrange(4) + 1)
     for n in even:
         even_values[n] += rng.choice((-1, 1)) * 2 * rng.randrange(1, 4)
-    odd_table = CoeffTable(params, tuple(odd_values), "theta")
-    even_table = CoeffTable(params, tuple(even_values), "theta")
+    odd_table = qs.TruncSeriesZ(odd_values)
+    even_table = qs.TruncSeriesZ(even_values)
     found = convolution_mismatches(params, odd_table)
     assert found == integer_mismatches(params, odd_table)
     assert found[0] == min(odd)
@@ -339,21 +340,22 @@ def test_witness_discrepancy_on_fabricated_table():
     # an all-odd table cannot happen for real parameters; fabricate one
     # to pin the discrepancy path
     params = SingularParams(5, 1)
-    fake = CoeffTable(params, (1,) * 27, "oracle")
+    fake = qs.reduce_mod2(qs.TruncSeriesZ((1,) * 27))
     with pytest.raises(DiscrepancyError):
         find_even_in_interval(params, 4, fake)
 
 
 def _scan_by_degree(table, lo, hi, want_bit):
     """The smallest n in [lo, hi] with the wanted parity, probing one n at a time."""
-    return next((n for n in range(lo, hi + 1) if table.parity(n) == want_bit), None)
+    return next((n for n in range(lo, hi + 1) if table.bit(n) == want_bit), None)
 
 
-def _fabricated(kind, params, odd_degrees, n_max):
+def _fabricated(kind, odd_degrees, n_max):
+    """A parity table, packed directly or reduced from a fabricated exact one."""
     if kind == "parity":
-        return ParityTable(params, sum(1 << n for n in odd_degrees), n_max, "fake")
-    values = tuple(3 if n in odd_degrees else 2 for n in range(n_max + 1))
-    return CoeffTable(params, values, "fake")
+        return qs.TruncSeriesF2(sum(1 << n for n in odd_degrees if n <= n_max), n_max)
+    values = [3 if n in odd_degrees else 2 for n in range(n_max + 1)]
+    return qs.reduce_mod2(qs.TruncSeriesZ(values))
 
 
 @pytest.mark.parametrize("kind", ["parity", "coeff"])
@@ -363,7 +365,7 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
     every = set(range(n_max + 1))
 
     def scan(odd_degrees, want_bit):
-        table = _fabricated(kind, params, odd_degrees, n_max)
+        table = _fabricated(kind, odd_degrees, n_max)
         return _scan_interval(params, table, lo, hi, want_bit, 4, "x")
 
     assert scan({lo}, 1).n == lo
@@ -377,14 +379,14 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
             scan(odd_degrees, want_bit)
         assert exc.value.payload == {"params": (5, 1), "lo": lo, "hi": hi, "ell": 4}
     with pytest.raises(TableTooShortError):
-        _scan_interval(params, _fabricated(kind, params, every, hi - 1), lo, hi, 1, 4, "x")
+        _scan_interval(params, _fabricated(kind, every, hi - 1), lo, hi, 1, 4, "x")
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_interval_scan_matches_a_per_degree_scan(p):
     params = SingularParams(p, 1)
     top = 60 * (3 * 60 + 1) // 2
-    for table in (parity_table(params, top), coefficients_theta(params, top)):
+    for table in (parity_table(params, top), qs.reduce_mod2(coefficients_theta(params, top))):
         for ell in range(2, 61):
             for lo, hi, want_bit in (
                 (ell, ell * (3 * ell + 1) // 2, 0),
@@ -404,12 +406,12 @@ def test_interval_scan_matches_a_per_degree_scan(p):
 def test_known_parity_facts_small():
     n = 400
     t31 = parity_table(SingularParams(3, 1), n)
-    assert all(t31.parity(e) == 0 for e in range(1, n + 1))
+    assert all(t31.bit(e) == 0 for e in range(1, n + 1))
     t41 = parity_table(SingularParams(4, 1), n)
-    assert all(t41.parity(e) == 0 for e in range(1, n + 1, 2))
+    assert all(t41.bit(e) == 0 for e in range(1, n + 1, 2))
     pents = {j * (3 * j - 1) // 2 for j in range(-n, n + 1) if j}
     t62 = parity_table(SingularParams(6, 2), n)
-    assert all(t62.parity(e) == (1 if e in pents else 0) for e in range(1, n + 1))
+    assert all(t62.bit(e) == (1 if e in pents else 0) for e in range(1, n + 1))
 
 
 def test_parity_facts_report_planted_failures(monkeypatch):
@@ -434,7 +436,7 @@ def test_parity_facts_report_planted_failures(monkeypatch):
     def fake(params, trunc_degree):
         key = (params.k, params.i)
         flips = sum(1 << e for e in planted[key])
-        return ParityTable(params, true[key] ^ flips, trunc_degree, "planted")
+        return qs.TruncSeriesF2(true[key] ^ flips, trunc_degree)
 
     monkeypatch.setattr(tables, "parity_table", fake)
     c31, c41, c62 = checks.parity_facts(n)

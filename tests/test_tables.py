@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from singover import tables
 from singover.cli import CAP_EXACT
-from singover.errors import ParameterError, TableTooShortError
+from singover.errors import ParameterError
 from singover.oracle import enumerate_overpartitions
 from singover.params import SingularParams
 from singover.qseries import (
+    TruncSeriesF2,
     TruncSeriesZ,
     div,
     eta_product,
@@ -24,7 +25,6 @@ from singover.qseries import (
 )
 from singover.tables import (
     STORE_BUDGET,
-    CoeffTable,
     clear_caches,
     coefficients_product,
     coefficients_theta,
@@ -40,16 +40,16 @@ ADMISSIBLE_PARAMS = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
 def test_pipelines_agree(k, i):
     params = SingularParams(k, i)
     assert (
-        coefficients_product(params, 300).values
-        == coefficients_theta(params, 300).values
+        coefficients_product(params, 300).coeffs
+        == coefficients_theta(params, 300).coeffs
     )
 
 
 def test_pipelines_agree_at_exact_cap():
     params = SingularParams(5, 1)
     assert (
-        coefficients_product(params, CAP_EXACT).values
-        == coefficients_theta(params, CAP_EXACT).values
+        coefficients_product(params, CAP_EXACT).coeffs
+        == coefficients_theta(params, CAP_EXACT).coeffs
     )
 
 
@@ -57,7 +57,7 @@ def test_pipelines_agree_at_exact_cap():
 def test_table_invariants(k, i):
     table = coefficients_theta(SingularParams(k, i), 80)
     assert table[0] == 1
-    assert all(v >= 0 for v in table.values)
+    assert all(v >= 0 for v in table.coeffs)
 
 
 def test_worked_value_from_product():
@@ -65,7 +65,7 @@ def test_worked_value_from_product():
 
 
 def test_six_two_prefix():
-    assert coefficients_theta(SingularParams(6, 2), 3).values == (1, 1, 3, 4)
+    assert coefficients_theta(SingularParams(6, 2), 3).coeffs == (1, 1, 3, 4)
 
 
 @pytest.mark.parametrize("k,i", [(3, 1), (5, 1), (6, 2), (7, 3), (9, 4)])
@@ -79,18 +79,18 @@ def test_tables_match_enumeration(k, i):
 def test_oracle_table_source():
     # a table built by enumeration alone, n by n
     params = SingularParams(5, 1)
-    values = tuple(enumerate_overpartitions(params, n).count for n in range(9))
-    t = CoeffTable(params, values, "oracle")
-    assert t.source == "oracle" and t.trunc_degree == 8
-    assert t.values == coefficients_theta(SingularParams(5, 1), 8).values
+    t = TruncSeriesZ(enumerate_overpartitions(params, n).count for n in range(9))
+    assert t.trunc_degree == 8
+    assert t == coefficients_theta(SingularParams(5, 1), 8)
 
 
 @pytest.mark.parametrize("family,scale", [(f, s) for f in ("3k", "4k", "6k") for s in (1, 2, 3)])
 def test_special_forms_match_general_product(family, scale):
     table = special_form(family, scale, 150)
-    general = coefficients_product(table.params, 150)
-    assert table.values == general.values
-    assert table.source == f"special{family}"
+    factor = {"3k": 3, "4k": 4, "6k": 6}[family]
+    general = coefficients_product(SingularParams(factor * scale, scale), 150)
+    assert isinstance(table, TruncSeriesZ)
+    assert table == general
 
 
 def test_special_form_bad_family():
@@ -130,30 +130,21 @@ def test_memoization_reuses_expansions():
     params = SingularParams(7, 1)
     first = coefficients_theta(params, 64)
     second = coefficients_theta(params, 64)
-    assert first.values is second.values
+    assert first.coeffs is second.coeffs
 
 
 def test_parity_table_matches_exact_parities():
     params = SingularParams(5, 2)
     exact = coefficients_theta(params, 300)
     packed = parity_table(params, 300)
-    assert all(packed.parity(n) == exact.parity(n) for n in range(301))
-
-
-def test_value_conventions():
-    table = coefficients_theta(SingularParams(3, 1), 10)
-    assert table.value(-3) == 0
-    assert table.parity(-3) == 0
-    with pytest.raises(TableTooShortError):
-        table.value(11)
-    with pytest.raises(TableTooShortError):
-        parity_table(SingularParams(3, 1), 10).parity(11)
+    assert isinstance(packed, TruncSeriesF2) and packed.trunc_degree == 300
+    assert all(packed.bit(n) == exact[n] & 1 for n in range(301))
 
 
 def test_truncate_matches_direct_computation():
     params = SingularParams(5, 1)
     big = coefficients_theta(params, 90)
-    assert big.truncate(40).values == coefficients_theta(params, 40).values
+    assert big.truncate(40) == coefficients_theta(params, 40)
     with pytest.raises(ParameterError):
         big.truncate(91)
 
@@ -166,18 +157,12 @@ def test_half_k_residue_case():
     for k in (4, 6, 8):
         params = SingularParams(k, k // 2)
         prod = coefficients_product(params, 12)
-        assert prod.values == coefficients_theta(params, 12).values
+        assert prod == coefficients_theta(params, 12)
         counts = [enumerate_overpartitions(params, n).count for n in range(13)]
-        assert list(prod.values) == counts
+        assert list(prod.coeffs) == counts
         # n = k/2: p(k/2) - 1 partitions into smaller, unmarked parts,
         # and the part k/2 alone in 3 ways
         assert prod[k // 2] == {4: 2, 6: 3, 8: 5}[k] - 1 + 3
-
-
-def test_coeff_table_series_roundtrip():
-    table = coefficients_theta(SingularParams(3, 1), 12)
-    assert isinstance(table.series(), TruncSeriesZ)
-    assert table.series().coeffs == table.values
 
 
 # --- the per-(k, i) table stores ---------------------------------------------
@@ -193,7 +178,7 @@ def _fresh(route, params, n):
     """The table a request must return, built without any held table."""
     if route == "product":
         clear_caches()
-        return coefficients_product(params, n).values
+        return coefficients_product(params, n).coeffs
     exact = div(theta_sum(params.k, params.i, n), eta_product(1, n)).coeffs
     if route == "theta":
         return exact
@@ -202,8 +187,8 @@ def _fresh(route, params, n):
 
 def _served(route, params, n):
     table = ROUTES[route][0](params, n)
-    assert table.params == params and table.trunc_degree == n
-    return table.bits if route == "parity" else table.values
+    assert table.trunc_degree == n
+    return table.bits if route == "parity" else table.coeffs
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -275,8 +260,8 @@ def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
     )
     high = coefficients_theta(params, 500)
     assert calls == [201]
-    assert high.values[:201] == low.values
-    assert high.values == _fresh("theta", params, 500)
+    assert high.coeffs[:201] == low.coeffs
+    assert high.coeffs == _fresh("theta", params, 500)
 
 
 @pytest.mark.parametrize("k,i", [(5, 1), (8, 4)])
