@@ -17,10 +17,6 @@ class NonUnitDivisorError(SingoverError, ValueError):
     """Series division needs a divisor whose constant term is a unit."""
 
 
-class OracleCapError(SingoverError, ValueError):
-    """Brute-force enumeration was asked to go beyond its configured cap."""
-
-
 class TableTooShortError(SingoverError, ValueError):
     """A coefficient table does not cover the requested degree."""
 

@@ -14,29 +14,21 @@ and 3 (one copy) or 4 (two or more) for two marks. That is the factor
 values gives the whole table C-bar(0..n), against which the series
 tables are checked. ``count_by_backtracking`` walks every bare partition
 of n instead; it is exponential in n and serves as the small-n
-cross-check of the DP. ``enumerate_overpartitions`` is its capped entry.
+cross-check of the DP. ``enumerate_overpartitions`` runs it for one n
+and refuses n > 40.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .errors import OracleCapError
+from .errors import ParameterError
 from .params import SingularParams
 
-DEFAULT_CAP = 40
 # Largest cap the command line accepts. The DP table costs about n^2
 # big-integer additions; at n = 2000 it takes 0.2-0.25 s (Python 3.11
 # on one Xeon core), for (3, 1) as for k > n, where every part is allowed.
 MAX_CAP = 2000
-
-
-@dataclass(frozen=True)
-class OverpartitionCount:
-    params: SingularParams
-    n: int
-    count: int
 
 
 def _marks(params: SingularParams, v: int) -> int:
@@ -102,17 +94,14 @@ def count_by_dp(params: SingularParams, n: int) -> int:
     return dp_table(params, n)[n] if n >= 0 else 0
 
 
-def enumerate_overpartitions(
-    params: SingularParams, n: int, cap: int = DEFAULT_CAP
-) -> OverpartitionCount:
-    """Count singular overpartitions of n by exhaustive enumeration.
+def enumerate_overpartitions(params: SingularParams, n: int) -> int:
+    """C-bar(n) by exhaustive enumeration, ``count_by_backtracking``.
 
-    Refuses n beyond the cap outright rather than silently truncating;
-    growth past that point makes enumeration the wrong tool.
+    Refuses n > 40 outright rather than running exponential time;
+    ``dp_table`` is the tool past that point.
     """
-    if n > cap:
-        raise OracleCapError(
-            f"enumeration capped at n <= {cap}, asked for n = {n}; "
-            "use a series pipeline for large n"
+    if n > 40:
+        raise ParameterError(
+            f"enumeration is capped at n <= 40, asked for n = {n}; use dp_table for large n"
         )
-    return OverpartitionCount(params, n, count_by_backtracking(params, n))
+    return count_by_backtracking(params, n)

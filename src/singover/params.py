@@ -28,8 +28,3 @@ class SingularParams:
             raise ParameterError(
                 f"residue i must satisfy 1 <= i <= floor(k/2) = {self.k // 2}, got {self.i}"
             )
-
-    def overlinable(self, part: int) -> bool:
-        """True when a part of this value may carry an overline."""
-        r = part % self.k
-        return r == self.i % self.k or r == (self.k - self.i) % self.k

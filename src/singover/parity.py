@@ -5,13 +5,14 @@ The backbone is a mod-2 identity: multiplying the generating function by
 exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 ``qseries.form_exponents``. Consequences implemented here:
 
-* ``exceptional_set`` collects those exponents with their (m, sign)
+* ``exceptional_set`` maps each of those exponents to its (m, sign)
   witnesses.
 * ``convolution_parity_check`` verifies, per n, that the pentagonal
   convolution of table values has the parity of the theta coefficient
-  of q^n, which is the number of (m, sign) witnesses of n;
+  of q^n, read as bit n of ``qseries.form_bits``; that is the parity
+  of the number of (m, sign) witnesses of n.
   ``convolution_parity_failures`` runs it for every n of a table,
-  walking the pentagonal offsets once.
+  reading the theta bits and the pentagonal offsets once.
 * ``form_witness`` answers "is T = k m^2 +- m(k-2i) for some m >= 1"
   in closed form, with one integer square root. It gates the interval
   results, and ``exclusion_counterexamples`` asks it for every l of the
@@ -22,7 +23,7 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
 there. Odd on the exceptional set therefore holds for i < k/2 only; the
-per-n check compares with the witness count and holds for every
+per-n check compares with the witness count's parity and holds for every
 admissible (k, i).
 """
 
@@ -41,41 +42,18 @@ from .errors import (
 from .params import SingularParams
 
 
-class ExceptionalForm:
-    """Integers n <= bound with n = (k m^2 +- m(k-2i))/2 for some m >= 1.
+def exceptional_set(params: SingularParams, bound: int) -> dict[int, tuple]:
+    """Each n <= bound on the form, mapped to its (m, sign) witnesses.
 
-    Membership is set-like; ``witnesses(n)`` returns every (m, sign)
-    pair that produces n, sign being +1 or -1.
+    Witnesses come in ``form_exponents`` order, sign being -1 or +1;
+    an n off the form has no key.
     """
-
-    def __init__(self, params: SingularParams, bound: int):
-        self.params = params
-        self.bound = bound
-        self._witnesses: dict[int, list[tuple[int, int]]] = {}
-        for e, m, sign in qs.form_exponents(params.k, params.i, bound):
-            self._witnesses.setdefault(e, []).append((m, sign))
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._witnesses
-
-    def __len__(self) -> int:
-        return len(self._witnesses)
-
-    def witnesses(self, n: int) -> tuple[tuple[int, int], ...]:
-        return tuple(self._witnesses.get(n, ()))
-
-    def __repr__(self):
-        return (
-            f"ExceptionalForm(k={self.params.k}, i={self.params.i}, "
-            f"bound={self.bound}, size={len(self)})"
-        )
-
-
-def exceptional_set(params: SingularParams, bound: int) -> ExceptionalForm:
-    """Enumerate the exceptional set up to the bound, with witnesses."""
     if bound < 0:
         raise ParameterError("bound must be nonnegative")
-    return ExceptionalForm(params, bound)
+    witnesses = {}
+    for e, m, sign in qs.form_exponents(params.k, params.i, bound):
+        witnesses[e] = witnesses.get(e, ()) + ((m, sign),)
+    return witnesses
 
 
 def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
@@ -83,9 +61,10 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
 
     Sums table values at n minus every generalized pentagonal offset,
     reduces mod 2, and compares against the parity of the theta
-    coefficient of q^n, i.e. of the number of witnesses of n in the
-    exceptional set. For i < k/2 that is odd on the set and even off
-    it; at i = k/2 every member has two witnesses, so it is even.
+    coefficient of q^n, bit n of ``qseries.form_bits``. That is the
+    parity of n's witness count: for i < k/2 odd on the exceptional
+    set and even off it; at i = k/2 every member has two witnesses and
+    its bits cancel.
     """
     if n < 1:
         raise ParameterError(f"the convolution identity is about n >= 1, got {n}")
@@ -93,26 +72,29 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         raise TableTooShortError(
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
-    return _convolution_holds(
-        table.coeffs, n, _pentagonal_offsets(n), exceptional_set(params, n)
-    )
+    return _convolution_holds(table.coeffs, n, _pentagonal_offsets(n), _theta_odd(params, n))
 
 
 def convolution_parity_failures(params: SingularParams, table) -> list[int]:
     """Every n in 1..N at which ``convolution_parity_check`` fails.
 
-    The same per-n check, with one exceptional set and one list of
-    pentagonal offsets to the table degree, and the table's parities
+    The same per-n check, with the theta parities and the pentagonal
+    offsets listed once to the table degree, and the table's parities
     read once for all n.
     """
-    exceptional = exceptional_set(params, table.trunc_degree)
+    theta_odd = _theta_odd(params, table.trunc_degree)
     offsets = _pentagonal_offsets(table.trunc_degree)
     parities = [v & 1 for v in table.coeffs]
     return [
         n
         for n in range(1, table.trunc_degree + 1)
-        if not _convolution_holds(parities, n, offsets, exceptional)
+        if not _convolution_holds(parities, n, offsets, theta_odd)
     ]
+
+
+def _theta_odd(params: SingularParams, bound: int) -> set[int]:
+    """The degrees <= bound whose theta coefficient is odd, from one bit scan."""
+    return set(qs._set_bits(qs.form_bits(params.k, params.i, bound).bits))
 
 
 def _pentagonal_offsets(bound: int) -> list[int]:
@@ -120,13 +102,13 @@ def _pentagonal_offsets(bound: int) -> list[int]:
     return [e for e, _, _ in qs.form_exponents(3, 1, bound)]
 
 
-def _convolution_holds(values, n: int, offsets, exceptional: ExceptionalForm) -> bool:
+def _convolution_holds(values, n: int, offsets, theta_odd: set[int]) -> bool:
     total = values[n]  # s = 0 term of the first sum
     for e in offsets:
         if e > n:
             break
         total += values[n - e]
-    return (total & 1) == (len(exceptional.witnesses(n)) & 1)
+    return (total & 1) == (n in theta_odd)
 
 
 def convolution_mismatches(params: SingularParams, table) -> list[int]:
@@ -178,9 +160,37 @@ def form_witness(k: int, i: int, target: int) -> tuple[int, int] | None:
     return None
 
 
+# Miller-Rabin to these bases is exact below the bound (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 5 <= p < _PRIME_BOUND, p not one of
+    the bases (a base divisible by p fails); an even p fails at base 2."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d, d odd
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 def _require_prime(p: int) -> None:
-    """Raise ParameterError unless p is a prime >= 5."""
-    if p < 5 or p % 2 == 0 or any(p % f == 0 for f in range(3, math.isqrt(p) + 1, 2)):
+    """Raise ParameterError unless p is a prime >= 5 below _PRIME_BOUND."""
+    if p >= _PRIME_BOUND:
+        raise ParameterError(
+            f"p must be below {_PRIME_BOUND}, where the prime test is exact; got {p}"
+        )
+    if p < 5 or p not in _PRIME_BASES and not _is_prime(p):
         raise ParameterError(f"p must be a prime >= 5, got {p}")
 
 
@@ -241,7 +251,7 @@ def _require_excluded(params: SingularParams, target: int, mode: str) -> None:
     if mode == "single":
         residues = [params.i]
     elif mode == "strict":
-        residues = list(range(1, params.k // 2 + 1))
+        residues = range(1, params.k // 2 + 1)
     else:
         raise ParameterError(f"mode must be 'single' or 'strict', got {mode!r}")
     for i in residues:

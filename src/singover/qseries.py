@@ -41,21 +41,8 @@ class TruncSeriesZ:
     def trunc_degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncSeriesZ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "TruncSeriesZ") -> "TruncSeriesZ":
-        return mul(self, other)
-
-    def support(self) -> tuple[int, ...]:
-        """Exponents with nonzero coefficient."""
-        return tuple(n for n, c in enumerate(self.coeffs) if c)
 
     def truncate(self, trunc_degree: int) -> "TruncSeriesZ":
         if trunc_degree > self.trunc_degree:
@@ -87,11 +74,6 @@ class TruncSeriesF2:
         self.bits = bits
         self.trunc_degree = trunc_degree
 
-    def bit(self, n: int) -> int:
-        if n > self.trunc_degree:
-            raise IndexError(f"degree {n} beyond truncation {self.trunc_degree}")
-        return (self.bits >> n) & 1
-
     def support(self) -> tuple[int, ...]:
         return tuple(_set_bits(self.bits))
 
@@ -116,12 +98,6 @@ class TruncSeriesF2:
             and self.bits == other.bits
             and self.trunc_degree == other.trunc_degree
         )
-
-    def __hash__(self):
-        return hash((self.bits, self.trunc_degree))
-
-    def __mul__(self, other: "TruncSeriesF2") -> "TruncSeriesF2":
-        return mul_f2(self, other)
 
     def __repr__(self):
         head = self.support()[:10]

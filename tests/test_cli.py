@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -429,6 +431,36 @@ def test_verify_intervals_rejects_composite_p(capsys, p):
     )
     assert code == 2 and "p must be a prime >= 5" in err
     assert out == ""
+
+
+def test_verify_intervals_strict_memory_does_not_grow_with_p(capsys):
+    # strict mode tests the residues i <= p/2 one at a time, and ell = 2's
+    # target 10 stops the walk at i = 5
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            ["verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "4",
+             "--mode", "strict"],
+            capsys,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and json.loads(out)["checks"][1]["detail"]["skipped"] == [2]
+    assert peak < 1_000_000
+
+
+def test_density_accepts_a_large_prime_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(["density", "--p", str(2**61 - 1), "--x", "10"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["p"] == 2**61 - 1
+
+
+def test_density_rejects_p_past_the_prime_test_bound(capsys):
+    code, out, err = run_cli(["density", "--p", str(2**89 - 1), "--x", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error: p must be below 3317044064679887385961981")
 
 
 def test_verify_parity_facts_reads_to_the_parity_cap(capsys):

@@ -152,7 +152,7 @@ def test_interval_cover_even():
     witnesses = interval_cover_check("even", 4, 1500, params, table)
     # [1027, 1582607] lies past the table, so the walk ends before it
     assert [(w.lo, w.hi) for w in witnesses] == [(4, 26)]
-    exact = coefficients_theta(params, 2000)
+    exact = coefficients_theta(params, 2000).coeffs
     for w in witnesses:
         assert w.lo <= w.n <= w.hi
         assert exact[w.n] % 2 == 0
@@ -163,7 +163,7 @@ def test_interval_cover_odd():
     table = parity_table(params, 2000)
     witnesses = interval_cover_check("odd", 2, 100, params, table)
     assert [(w.lo, w.hi) for w in witnesses] == [(3, 5), (9, 35), (69, 1820)]
-    exact = coefficients_theta(params, 2000)
+    exact = coefficients_theta(params, 2000).coeffs
     for w in witnesses:
         assert exact[w.n] % 2 == 1
 

@@ -114,9 +114,9 @@ def test_div_f2_matches_exact_quotient(k, i, n):
 def test_truncate_f2():
     s = TruncSeriesF2(0b1101, 3)
     assert s.truncate(2).support() == (0, 2)
-    assert s.bit(3) == 1
-    with pytest.raises(IndexError):
-        s.bit(4)
+    assert s.truncate(3) == s
+    with pytest.raises(ParameterError):
+        s.truncate(4)
 
 
 def test_window_f2_reads_lo_to_hi_and_refuses_past_the_end():

@@ -1,0 +1,40 @@
+"""The package root: the README's library example runs, and the root
+exports exactly the names it lists."""
+
+import re
+from pathlib import Path
+
+import singover
+from singover import errors
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_block():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    namespace = {}
+    exec(_library_block(), namespace)
+    assert namespace["table"].coeffs[1000] > 0
+    assert namespace["parities"].trunc_degree == 100_000
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from singover import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(singover.__all__)
+    assert all(namespace[name] is getattr(singover, name) for name in singover.__all__)
+
+
+def test_root_exports_every_exception_class():
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert classes <= set(singover.__all__)

@@ -1,6 +1,8 @@
 """Exceptional sets, the convolution identity, form exclusions, witnesses."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,20 +28,23 @@ from singover.parity import (
     find_odd_in_interval,
     first_convolution_mismatch,
     form_witness,
+    _require_prime,
     _scan_interval,
 )
 from singover.oracle import enumerate_overpartitions
 from singover.tables import coefficients_theta, parity_table
 
-
-def members(exc, bound):
-    return {n for n in range(bound + 1) if n in exc}
+ADMISSIBLE_PARAMS = [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
 
 
 def enumerated_table(params, trunc_degree):
     return qs.TruncSeriesZ(
-        enumerate_overpartitions(params, n).count for n in range(trunc_degree + 1)
+        enumerate_overpartitions(params, n) for n in range(trunc_degree + 1)
     )
+
+
+def bit(table, n):
+    return (table.bits >> n) & 1
 
 
 # --- exceptional sets -------------------------------------------------------
@@ -47,22 +52,22 @@ def enumerated_table(params, trunc_degree):
 
 def test_exceptional_set_six_two():
     exc = exceptional_set(SingularParams(6, 2), 30)
-    assert members(exc, 30) == {2, 4, 10, 14, 24, 30} and len(exc) == 6
-    assert exc.witnesses(2) == ((1, -1),)
-    assert exc.witnesses(4) == ((1, +1),)
-    assert exc.witnesses(3) == ()
+    assert sorted(exc) == [2, 4, 10, 14, 24, 30]
+    assert exc[2] == ((1, -1),)
+    assert exc[4] == ((1, +1),)
+    assert 3 not in exc
 
 
 def test_exceptional_set_three_one_is_pentagonal():
     exc = exceptional_set(SingularParams(3, 1), 15)
-    assert members(exc, 15) == {1, 2, 5, 7, 12, 15} and len(exc) == 6
+    assert sorted(exc) == [1, 2, 5, 7, 12, 15]
 
 
 def test_exceptional_set_five_one_regenerated():
     # m-scan for (5m^2 -+ 3m)/2: m=1 gives 1,4; m=2 gives 7,13; m=3
     # gives 18,27 so only 18 stays under 20
     exc = exceptional_set(SingularParams(5, 1), 20)
-    assert members(exc, 20) == {1, 4, 7, 13, 18} and len(exc) == 5
+    assert sorted(exc) == [1, 4, 7, 13, 18]
     assert 16 not in exc
 
 
@@ -72,10 +77,8 @@ def test_exceptional_witnesses_reproduce_members(k, data, bound):
     i = data.draw(st.integers(1, k // 2))
     params = SingularParams(k, i)
     exc = exceptional_set(params, bound)
-    assert len(members(exc, bound)) == len(exc)
-    for n in members(exc, bound):
+    for n, pairs in exc.items():
         assert 1 <= n <= bound
-        pairs = exc.witnesses(n)
         assert pairs
         for m, sign in pairs:
             assert m >= 1 and sign in (-1, 1)
@@ -84,7 +87,18 @@ def test_exceptional_witnesses_reproduce_members(k, data, bound):
 
 def test_exceptional_set_half_k_doubles_witnesses():
     exc = exceptional_set(SingularParams(4, 2), 10)
-    assert exc.witnesses(2) == ((1, -1), (1, +1))
+    assert exc[2] == ((1, -1), (1, +1))
+
+
+@pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)
+def test_form_bits_carry_the_witness_parity(k, i):
+    # the per-n check reads the witness-count parity as bit n of form_bits
+    params = SingularParams(k, i)
+    exc = exceptional_set(params, 300)
+    theta = qs.form_bits(k, i, 300)
+    assert [bit(theta, n) for n in range(1, 301)] == [
+        len(exc.get(n, ())) & 1 for n in range(1, 301)
+    ]
 
 
 # --- convolution identity ---------------------------------------------------
@@ -139,9 +153,7 @@ def integer_mismatches(params, table):
     return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
 
 
-@pytest.mark.parametrize(
-    "k,i", [(k, i) for k in range(3, 17) for i in range(1, k // 2 + 1)]
-)
+@pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)
 def test_wholesale_gf2_matches_integer_form(k, i):
     # the GF(2) product of the reduced factors against the reduced integer
     # product, on the true table, with odd and with even perturbations
@@ -180,7 +192,7 @@ def test_convolution_caveat_at_half_k():
     params = SingularParams(4, 2)
     table = coefficients_theta(params, 50)
     for n in (2, 8, 18, 32, 50):
-        assert len(exceptional_set(params, n).witnesses(n)) == 2
+        assert len(exceptional_set(params, n)[n]) == 2
         assert convolution_parity_check(params, n, table)
 
 
@@ -282,6 +294,47 @@ def test_exclusion_targets_match_direct_evaluation():
             assert exclusion_counterexamples(p, 100, variant) == expected == []
 
 
+def _accepted(p):
+    try:
+        _require_prime(p)
+    except ParameterError:
+        return False
+    return True
+
+
+def test_prime_check_agrees_with_trial_division():
+    for p in range(-3, 100_000):
+        trial = p >= 5 and all(p % f for f in range(2, math.isqrt(p) + 1))
+        assert _accepted(p) == trial, p
+
+
+@pytest.mark.parametrize(
+    "p",
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5, 7,
+    # and squares of primes
+    [561, 41041, 3215031751, 49, 10007**2, (2**31 - 1) ** 2],
+)
+def test_prime_check_rejects_pseudoprimes_and_squares(p):
+    with pytest.raises(ParameterError, match=f"p must be a prime >= 5, got {p}$"):
+        _require_prime(p)
+
+
+def test_prime_check_is_fast_and_bounded():
+    start = time.perf_counter()
+    _require_prime(2**61 - 1)
+    with pytest.raises(ParameterError, match="p must be a prime"):
+        _require_prime((2**61 - 1) * 1_000_003)
+    # from the bound on the 13 bases are not enough: the bound itself is
+    # a composite that passes all of them
+    bound = 3317044064679887385961981
+    assert 1287836182261 * 2575672364521 == bound
+    for p in (bound, 2**89 - 1):
+        with pytest.raises(ParameterError, match=f"p must be below {bound}"):
+            _require_prime(p)
+    _require_prime(3317044064679887385961813)  # the largest prime below the bound
+    assert time.perf_counter() - start < 0.1
+
+
 # --- interval witnesses -------------------------------------------------------
 
 
@@ -294,7 +347,7 @@ def test_even_witness_exists(p, ell):
     assert ell <= w.n <= hi
     assert w.parity == "even"
     # independently recomputed parity and minimality
-    exact = coefficients_theta(params, hi)
+    exact = coefficients_theta(params, hi).coeffs
     assert exact[w.n] % 2 == 0
     assert all(exact[n] % 2 == 1 for n in range(ell, w.n))
 
@@ -307,7 +360,7 @@ def test_odd_witness_exists(p, ell):
     w = find_odd_in_interval(params, ell, table)
     assert 2 * ell - 1 <= w.n <= hi
     assert w.parity == "odd"
-    exact = coefficients_theta(params, hi)
+    exact = coefficients_theta(params, hi).coeffs
     assert exact[w.n] % 2 == 1
     assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w.n))
 
@@ -347,7 +400,7 @@ def test_witness_discrepancy_on_fabricated_table():
 
 def _scan_by_degree(table, lo, hi, want_bit):
     """The smallest n in [lo, hi] with the wanted parity, probing one n at a time."""
-    return next((n for n in range(lo, hi + 1) if table.bit(n) == want_bit), None)
+    return next((n for n in range(lo, hi + 1) if bit(table, n) == want_bit), None)
 
 
 def _fabricated(kind, odd_degrees, n_max):
@@ -406,12 +459,12 @@ def test_interval_scan_matches_a_per_degree_scan(p):
 def test_known_parity_facts_small():
     n = 400
     t31 = parity_table(SingularParams(3, 1), n)
-    assert all(t31.bit(e) == 0 for e in range(1, n + 1))
+    assert all(bit(t31, e) == 0 for e in range(1, n + 1))
     t41 = parity_table(SingularParams(4, 1), n)
-    assert all(t41.bit(e) == 0 for e in range(1, n + 1, 2))
+    assert all(bit(t41, e) == 0 for e in range(1, n + 1, 2))
     pents = {j * (3 * j - 1) // 2 for j in range(-n, n + 1) if j}
     t62 = parity_table(SingularParams(6, 2), n)
-    assert all(t62.bit(e) == (1 if e in pents else 0) for e in range(1, n + 1))
+    assert all(bit(t62, e) == (1 if e in pents else 0) for e in range(1, n + 1))
 
 
 def test_parity_facts_report_planted_failures(monkeypatch):

@@ -160,8 +160,8 @@ def test_div_mixed_divisor_against_naive_loop():
     n = s.trunc_degree
     r = []
     for e in range(n + 1):
-        acc = s[e] - sum(t[j] * r[e - j] for j in range(1, e + 1))
-        r.append(acc // t[0])
+        acc = s.coeffs[e] - sum(t.coeffs[j] * r[e - j] for j in range(1, e + 1))
+        r.append(acc // t.coeffs[0])
     assert div(s, t).coeffs == tuple(r)
     assert mul(div(s, t), t) == s
 
@@ -195,8 +195,8 @@ def test_eta_scaled_is_substitution():
     base = eta_product(1, n // 2)
     scaled = eta_product(2, n)
     for e in range(n + 1):
-        expect = base[e // 2] if e % 2 == 0 else 0
-        assert scaled[e] == expect
+        expect = base.coeffs[e // 2] if e % 2 == 0 else 0
+        assert scaled.coeffs[e] == expect
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -211,7 +211,7 @@ def test_eta_support_is_pentagonal(m):
             if e <= n:
                 expected.add(e)
         j += 1
-    assert set(series.support()) == expected
+    assert {e for e, c in enumerate(series.coeffs) if c} == expected
     assert all(c in (-1, 0, 1) for c in series.coeffs)
 
 
@@ -242,7 +242,6 @@ def test_pochhammer_step_three():
     got = pochhammer_neg(1, 3, 3)
     expected = tuple(distinct_ap_count(1, 3, n) for n in range(4))
     assert got.coeffs == expected == (1, 1, 0, 0)
-    assert got[2] == 0
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 40))
@@ -250,7 +249,7 @@ def test_pochhammer_step_three():
 def test_pochhammer_matches_enumeration(a, b, n):
     series = pochhammer_neg(a, b, n)
     for e in range(n + 1):
-        assert series[e] == distinct_ap_count(a, b, e)
+        assert series.coeffs[e] == distinct_ap_count(a, b, e)
 
 
 def test_pochhammer_rejects_bad_offsets():
@@ -287,18 +286,15 @@ def theta_exponent_count(k, i, e):
 
 
 def test_theta_small_supports():
-    t = theta_sum(3, 1, 7)
-    assert t.support() == (0, 1, 2, 5, 7)
-    assert all(t[e] == 1 for e in t.support())
+    # exponents 0, 1, 2, 5, 7
+    assert theta_sum(3, 1, 7).coeffs == (1, 1, 1, 0, 0, 1, 0, 1)
     # direct exponent evaluation: 0, 1, 7, 18 and 4, 13, 27
-    t = theta_sum(5, 1, 12)
-    assert t.support() == (0, 1, 4, 7)
-    assert all(t[e] == 1 for e in t.support())
+    assert theta_sum(5, 1, 12).coeffs == (1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("k,i", [(3, 1), (5, 2), (7, 3), (11, 1)])
 def test_theta_constant_term(k, i):
-    assert theta_sum(k, i, 0)[0] == 1
+    assert theta_sum(k, i, 0).coeffs == (1,)
 
 
 @given(st.integers(3, 12), st.data(), st.integers(0, 80))
@@ -307,13 +303,13 @@ def test_theta_counts_representations(k, data, n):
     i = data.draw(st.integers(1, k // 2))
     series = theta_sum(k, i, n)
     for e in range(n + 1):
-        assert series[e] == theta_exponent_count(k, i, e)
+        assert series.coeffs[e] == theta_exponent_count(k, i, e)
 
 
 def test_theta_double_hits_when_i_is_half_k():
     # k - 2i = 0 collapses the two exponent families onto each other
     t = theta_sum(4, 2, 20)
-    assert t[2] == 2 and t[8] == 2 and t[18] == 2
+    assert t.coeffs[2] == t.coeffs[8] == t.coeffs[18] == 2
 
 
 def test_theta_rejects_out_of_range_i():
@@ -362,10 +358,7 @@ def test_exponent_walk_users_match_closed_forms(k, i):
             if e <= n:
                 witnesses.setdefault(e, []).append((m, sign))
     exc = exceptional_set(SingularParams(k, i), n)
-    assert [e for e in range(n + 1) if e in exc] == sorted(witnesses)
-    assert len(exc) == len(witnesses)
-    for e in range(n + 1):
-        assert exc.witnesses(e) == tuple(witnesses.get(e, ()))
+    assert exc == {e: tuple(pairs) for e, pairs in witnesses.items()}
 
     # (q^m; q^m) = sum over all integers j of (-1)^j q^(m j(3j-1)/2), m = i <= 8
     eta = [0] * (n + 1)

@@ -1,0 +1,43 @@
+"""The experiment scripts run at small sizes, with deterministic output."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import singover
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(singover.__file__).resolve().parents[1])
+
+
+def run_script(args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize(
+    "args, first_line",
+    [
+        (["scripts/witness_survey.py", "--primes", "5", "7", "--ell-max", "20"], "p = 5"),
+        (
+            ["scripts/scan_progressions.py", "--p", "5", "--a-max", "12", "--x", "3000",
+             "--min-hits", "5"],
+            "# candidates for constant parity of C-bar_{5,1}(a n + b), a n + b <= 3000",
+        ),
+    ],
+    ids=["witness_survey", "scan_progressions"],
+)
+def test_script_runs_deterministically(args, first_line):
+    first, second = run_script(args), run_script(args)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout.startswith(first_line)
+    assert second.returncode == 0 and second.stdout == first.stdout
