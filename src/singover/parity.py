@@ -10,15 +10,20 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 * ``convolution_parity_check`` verifies, per n, that the pentagonal
   convolution of table values has the parity of the theta coefficient
   of q^n, read as bit n of ``qseries.form_bits``; that is the parity
-  of the number of (m, sign) witnesses of n.
-  ``convolution_parity_failures`` runs it for every n of a table,
-  reading the theta bits and the pentagonal offsets once.
+  of the number of (m, sign) witnesses of n. Each n is one AND of the
+  table's parities, packed in a word, with the pentagonal offsets,
+  packed reversed and shifted. ``convolution_parity_failures`` runs it
+  for every n of a table, packing both words and reading the theta
+  bits once.
 * ``form_witness`` answers "is T = k m^2 +- m(k-2i) for some m >= 1"
-  in closed form, with one integer square root. It gates the interval
-  results, and ``exclusion_counterexamples`` asks it for every l of the
-  form exclusions l(3l +- 1).
+  in closed form, with one integer square root, and
+  ``exclusion_counterexamples`` asks it for every l of the form
+  exclusions l(3l +- 1).
 * ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
+  Their precondition asks which residue i, if any, has a form that
+  takes the target; at most one does, and one integer square root
+  finds it.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -72,43 +77,49 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         raise TableTooShortError(
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
-    return _convolution_holds(table.coeffs, n, _pentagonal_offsets(n), _theta_odd(params, n))
+    return not _convolution_failures(params, table.coeffs[: n + 1], n)
 
 
 def convolution_parity_failures(params: SingularParams, table) -> list[int]:
     """Every n in 1..N at which ``convolution_parity_check`` fails.
 
-    The same per-n check, with the theta parities and the pentagonal
-    offsets listed once to the table degree, and the table's parities
-    read once for all n.
+    The same per-n check, with the theta parities, the pentagonal
+    offsets and the table's parities read once for all n.
     """
-    theta_odd = _theta_odd(params, table.trunc_degree)
-    offsets = _pentagonal_offsets(table.trunc_degree)
-    parities = [v & 1 for v in table.coeffs]
+    return _convolution_failures(params, table.coeffs, 1)
+
+
+_PARITY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _convolution_failures(params: SingularParams, values, lo: int) -> list[int]:
+    """The n in lo..N, N = len(values) - 1, whose convolution parity
+    differs from bit n of the theta numerator mod 2.
+
+    With bit j of ``parities`` the parity of values[j] and bit N - e of
+    ``offsets`` set for e = 0 and every generalized pentagonal e <= N,
+    ``offsets >> (N - n)`` has bit n - e set for each e <= n, so the
+    popcount of its AND with ``parities`` has the parity of
+    sum_e values[n - e]: one word-parallel AND per n.
+    """
+    top = len(values) - 1
+    theta_odd = _theta_odd(params, top)
+    # the parity digits, highest degree first, read as one base-2 int
+    digits = bytes(map((1).__and__, reversed(values))).translate(_PARITY_DIGITS)
+    parities = int(digits, 2)
+    offsets = 1 << top
+    for e, _, _ in qs.form_exponents(3, 1, top):
+        offsets |= 1 << (top - e)
     return [
         n
-        for n in range(1, table.trunc_degree + 1)
-        if not _convolution_holds(parities, n, offsets, theta_odd)
+        for n in range(lo, top + 1)
+        if (parities & (offsets >> (top - n))).bit_count() & 1 != (n in theta_odd)
     ]
 
 
 def _theta_odd(params: SingularParams, bound: int) -> set[int]:
     """The degrees <= bound whose theta coefficient is odd, from one bit scan."""
     return set(qs._set_bits(qs.form_bits(params.k, params.i, bound).bits))
-
-
-def _pentagonal_offsets(bound: int) -> list[int]:
-    """The positive generalized pentagonals up to the bound, increasing."""
-    return [e for e, _, _ in qs.form_exponents(3, 1, bound)]
-
-
-def _convolution_holds(values, n: int, offsets, theta_odd: set[int]) -> bool:
-    total = values[n]  # s = 0 term of the first sum
-    for e in offsets:
-        if e > n:
-            break
-        total += values[n - e]
-    return (total & 1) == (n in theta_odd)
 
 
 def convolution_mismatches(params: SingularParams, table) -> list[int]:
@@ -247,21 +258,41 @@ def _scan_interval(params, table, lo, hi, want_bit, ell, label) -> ParityWitness
     )
 
 
+def _residue_witness(k: int, target: int) -> tuple[int, int, int] | None:
+    """The i <= k/2 with target = k m^2 +- m(k-2i) for some m >= 1, as
+    (i, m, sign), or None.
+
+    With d = k - 2i in [0, k-2], target lies in [k m^2 - (k-2)m,
+    k m^2 + (k-2)m]. These ranges are disjoint for distinct m (the next
+    one starts 4m + 2 higher), so at most one (i, m) takes the target,
+    and k m(m-1) < target < k(m+1)^2 leaves m = isqrt(target // k) or
+    one more. That m fixes s d = target/m - k m, and d fixes i. At
+    d = 0 both signs coincide and minus is reported, as by
+    ``form_witness``.
+    """
+    r = math.isqrt(target // k)
+    for m in (r, r + 1):
+        if m < 1 or target % m:
+            continue
+        s_d = target // m - k * m
+        d = abs(s_d)
+        if d <= k - 2 and (k - d) % 2 == 0:
+            return (k - d) // 2, m, 1 if s_d > 0 else -1
+    return None
+
+
 def _require_excluded(params: SingularParams, target: int, mode: str) -> None:
-    if mode == "single":
-        residues = [params.i]
-    elif mode == "strict":
-        residues = range(1, params.k // 2 + 1)
-    else:
+    if mode not in ("single", "strict"):
         raise ParameterError(f"mode must be 'single' or 'strict', got {mode!r}")
-    for i in residues:
-        w = form_witness(params.k, i, target)
-        if w is not None:
-            raise PreconditionError(
-                f"{target} = k m^2 {'+' if w[1] > 0 else '-'} m(k-2i) for "
-                f"(k, i, m) = ({params.k}, {i}, {w[0]}); the interval "
-                "guarantee does not apply"
-            )
+    hit = _residue_witness(params.k, target)
+    if hit is None or mode == "single" and hit[0] != params.i:
+        return
+    i, m, sign = hit
+    raise PreconditionError(
+        f"{target} = k m^2 {'+' if sign > 0 else '-'} m(k-2i) for "
+        f"(k, i, m) = ({params.k}, {i}, {m}); the interval "
+        "guarantee does not apply"
+    )
 
 
 def find_even_in_interval(

@@ -28,7 +28,9 @@ from singover.parity import (
     find_odd_in_interval,
     first_convolution_mismatch,
     form_witness,
+    _require_excluded,
     _require_prime,
+    _residue_witness,
     _scan_interval,
 )
 from singover.oracle import enumerate_overpartitions
@@ -143,6 +145,49 @@ def test_convolution_failures_match_the_per_n_check(k, i):
     assert convolution_parity_failures(params, bad_table) == per_n
     assert convolution_mismatches(params, bad_table) == per_n
     assert first_convolution_mismatch(params, bad_table) == 40
+
+
+def reference_failures(params, values):
+    """The per-n check as the interpreter loop it replaced: each n walks
+    the pentagonal offsets and compares the parity of the sum with the
+    parity of n's witness count."""
+    top = len(values) - 1
+    offsets = [e for e, _, _ in qs.form_exponents(3, 1, top)]
+    witnesses = exceptional_set(params, top)
+    failures = []
+    for n in range(1, top + 1):
+        total = values[n]  # s = 0 term of the first sum
+        for e in offsets:
+            if e > n:
+                break
+            total += values[n - e]
+        if total & 1 != len(witnesses.get(n, ())) & 1:
+            failures.append(n)
+    return failures
+
+
+@pytest.mark.parametrize("k,i", [(k, i) for k, i in ADMISSIBLE_PARAMS if k <= 13])
+def test_per_n_failures_match_the_reference_loop(k, i):
+    # on the true table and on one with odd errors planted, at every N
+    params = SingularParams(k, i)
+    rng = random.Random(f"per-n {k},{i}")
+    full = coefficients_theta(params, 2875).coeffs
+    for n_max in (1, 2, 120, 2875):
+        clean = list(full[: n_max + 1])
+        planted = list(clean)
+        for n in rng.sample(range(n_max + 1), min(5, n_max + 1)):
+            planted[n] += rng.choice((-1, 1)) * (2 * rng.randrange(4) + 1)
+        for values in (clean, planted):
+            expected = reference_failures(params, values)
+            if values is clean:
+                assert expected == []
+            else:  # below N = 120 the planted errors can cancel
+                assert n_max < 120 or expected
+            table = qs.TruncSeriesZ(values)
+            assert convolution_parity_failures(params, table) == expected
+            probes = range(1, n_max + 1) if n_max <= 120 else rng.sample(range(1, n_max + 1), 40)
+            for n in probes:
+                assert convolution_parity_check(params, n, table) == (n not in expected)
 
 
 def integer_mismatches(params, table):
@@ -381,6 +426,86 @@ def test_witness_strict_mode():
     assert find_even_in_interval(params, 9, table, mode="single").parity == "even"
     with pytest.raises(PreconditionError):
         find_even_in_interval(params, 9, table, mode="strict")
+
+
+def residue_walk(k, target):
+    """The strict precondition as a walk over the residues: the smallest
+    i <= k/2 whose form takes the target, with form_witness's (m, sign).
+    T >= k m^2 - m(k-2i) >= 2im, so no i above T/2 can take it."""
+    for i in range(1, min(k // 2, target // 2) + 1):
+        w = form_witness(k, i, target)
+        if w is not None:
+            return i, *w
+    return None
+
+
+def refusal(params, target, mode):
+    """The PreconditionError text for the target, or None if it passes."""
+    try:
+        _require_excluded(params, target, mode)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def refusal_text(target, k, hit):
+    if hit is None:
+        return None
+    i, m, sign = hit
+    return (
+        f"{target} = k m^2 {'+' if sign > 0 else '-'} m(k-2i) for (k, i, m) = "
+        f"({k}, {i}, {m}); the interval guarantee does not apply"
+    )
+
+
+@pytest.mark.parametrize(
+    # past the targets the walk takes one root per i <= T/2: 1.7 million
+    # for p = 10000019 at l <= 120, so that p stops at l = 60
+    "p,ell_max", [(5, 120), (7, 120), (11, 120), (13, 120), (17, 120), (10000019, 60)]
+)
+def test_strict_precondition_matches_the_residue_walk(p, ell_max):
+    # every target l(3l +- 1) with l <= ell_max: the same l are skipped,
+    # with the same (k, i, m) in the message, and the report lists them
+    params = SingularParams(p, 1)
+    skipped = {"even": [], "odd": []}
+    for ell in range(2, ell_max + 1):
+        for variant, t in (("even", ell * (3 * ell + 1)), ("odd", ell * (3 * ell - 1))):
+            hit = residue_walk(p, t)
+            assert refusal(params, t, "strict") == refusal_text(t, p, hit)
+            if hit and ell % 3 == (1 if variant == "even" else 2):
+                skipped[variant].append(ell)
+    for check, variant in zip(checks.intervals(p, ell_max, "strict"), ("even", "odd")):
+        assert check["detail"]["skipped"] == skipped[variant][:10]
+        assert check["detail"]["skipped_count"] == len(skipped[variant])
+
+
+def test_at_most_one_residue_takes_a_target():
+    # the ranges [k m^2 - (k-2)m, k m^2 + (k-2)m] are disjoint for
+    # distinct m, so at most one (i, m) takes a target; both modes ask
+    # for that one, and single mode refuses only when it is params.i
+    taken = 0
+    for k in range(3, 17):
+        for t in range(1, 1001):
+            hits = [(i, *w) for i in range(1, k // 2 + 1) if (w := form_witness(k, i, t))]
+            assert len(hits) <= 1
+            assert _residue_witness(k, t) == (hits[0] if hits else None)
+            for i in range(1, k // 2 + 1):
+                w = form_witness(k, i, t)
+                params = SingularParams(k, i)
+                assert refusal(params, t, "single") == refusal_text(t, k, w and (i, *w))
+                assert refusal(params, t, "strict") == refusal_text(t, k, hits[0] if hits else None)
+            taken += bool(hits)
+    assert taken > 1000
+
+
+def test_strict_precondition_at_the_largest_l_is_fast():
+    # two candidate m per target, not one root per residue i <= k/2
+    start = time.perf_counter()
+    even, odd = checks.intervals(10000019, checks.CAP_INTERVALS, "strict")
+    assert time.perf_counter() - start < 2.0
+    assert checks.CAP_INTERVALS == 816
+    assert even["detail"]["skipped_count"] == 271  # l = 4, 7, ..., 814
+    assert odd["detail"]["skipped_count"] == 272  # l = 2, 5, ..., 815
 
 
 def test_witness_table_too_short():
