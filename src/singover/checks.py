@@ -97,7 +97,7 @@ def lemma1(k: int, i: int, n_max: int) -> list[dict]:
     params = SingularParams(k, i)
     table = tables.coefficients_theta(params, n_max)
     wholesale = parity.convolution_mismatches(params, table)
-    bad = parity.convolution_parity_failures(params, table)
+    bad = [n for n in wholesale if n]
     return [
         {
             "name": f"convolution-wholesale-k{k}-i{i}-n{n_max}",

@@ -88,7 +88,7 @@ def _table_payload(params: SingularParams, source: str, table) -> dict:
         "params": {"k": params.k, "i": params.i},
         "N": table.trunc_degree,
         "source": source,
-        "values": [str(v) for v in table.coeffs],
+        "values": list(map(str, table.coeffs)),
         "parities": [v & 1 for v in table.coeffs],
     }
 

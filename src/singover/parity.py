@@ -7,14 +7,12 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 
 * ``exceptional_set`` maps each of those exponents to its (m, sign)
   witnesses.
-* ``convolution_parity_check`` verifies, per n, that the pentagonal
-  convolution of table values has the parity of the theta coefficient
-  of q^n, read as bit n of ``qseries.form_bits``; that is the parity
-  of the number of (m, sign) witnesses of n. Each n is one AND of the
-  table's parities, packed in a word, with the pentagonal offsets,
-  packed reversed and shifted. ``convolution_parity_failures`` runs it
-  for every n of a table, packing both words and reading the theta
-  bits once.
+* ``convolution_mismatches`` lists every degree at which the table
+  times (q;q), one sparse GF(2) product, differs from the theta
+  numerator mod 2 (``qseries.form_bits``), whose bit n is the parity of
+  n's (m, sign) witness count. The lemma 1 suite reports that one list
+  twice: whole, and per n from degree 1 on, where the identity is
+  stated. ``convolution_parity_check`` asks it about a single n.
 * ``form_witness`` answers "is T = k m^2 +- m(k-2i) for some m >= 1"
   in closed form, with one integer square root, and
   ``exclusion_counterexamples`` asks it for every l of the form
@@ -64,10 +62,9 @@ def exceptional_set(params: SingularParams, bound: int) -> dict[int, tuple]:
 def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
     """Check the pentagonal convolution parity at a single positive n.
 
-    Sums table values at n minus every generalized pentagonal offset,
-    reduces mod 2, and compares against the parity of the theta
-    coefficient of q^n, bit n of ``qseries.form_bits``. That is the
-    parity of n's witness count: for i < k/2 odd on the exceptional
+    Compares the table's first n+1 values times (q;q) with the theta
+    coefficient of q^n mod 2, bit n of ``qseries.form_bits``. That is
+    the parity of n's witness count: for i < k/2 odd on the exceptional
     set and even off it; at i = k/2 every member has two witnesses and
     its bits cancel.
     """
@@ -77,49 +74,7 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
         raise TableTooShortError(
             f"table degree {table.trunc_degree} does not cover n = {n}"
         )
-    return not _convolution_failures(params, table.coeffs[: n + 1], n)
-
-
-def convolution_parity_failures(params: SingularParams, table) -> list[int]:
-    """Every n in 1..N at which ``convolution_parity_check`` fails.
-
-    The same per-n check, with the theta parities, the pentagonal
-    offsets and the table's parities read once for all n.
-    """
-    return _convolution_failures(params, table.coeffs, 1)
-
-
-_PARITY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _convolution_failures(params: SingularParams, values, lo: int) -> list[int]:
-    """The n in lo..N, N = len(values) - 1, whose convolution parity
-    differs from bit n of the theta numerator mod 2.
-
-    With bit j of ``parities`` the parity of values[j] and bit N - e of
-    ``offsets`` set for e = 0 and every generalized pentagonal e <= N,
-    ``offsets >> (N - n)`` has bit n - e set for each e <= n, so the
-    popcount of its AND with ``parities`` has the parity of
-    sum_e values[n - e]: one word-parallel AND per n.
-    """
-    top = len(values) - 1
-    theta_odd = _theta_odd(params, top)
-    # the parity digits, highest degree first, read as one base-2 int
-    digits = bytes(map((1).__and__, reversed(values))).translate(_PARITY_DIGITS)
-    parities = int(digits, 2)
-    offsets = 1 << top
-    for e, _, _ in qs.form_exponents(3, 1, top):
-        offsets |= 1 << (top - e)
-    return [
-        n
-        for n in range(lo, top + 1)
-        if (parities & (offsets >> (top - n))).bit_count() & 1 != (n in theta_odd)
-    ]
-
-
-def _theta_odd(params: SingularParams, bound: int) -> set[int]:
-    """The degrees <= bound whose theta coefficient is odd, from one bit scan."""
-    return set(qs._set_bits(qs.form_bits(params.k, params.i, bound).bits))
+    return n not in convolution_mismatches(params, table.truncate(n))
 
 
 def convolution_mismatches(params: SingularParams, table) -> list[int]:

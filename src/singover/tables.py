@@ -150,14 +150,13 @@ def parity_table(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesF2:
     return _PARITY.get(params, trunc_degree)
 
 
-# Reduced eta-quotients, as (modulus multiple, numerator eta steps,
-# denominator eta steps), steps in multiples of k except the literal
-# "abs" marker for the absolute (q;q) factor. Derived by rewriting the
-# two negative Pochhammer factors of the product form.
+# Reduced eta-quotients over (q;q), as (modulus multiple, numerator eta
+# steps, denominator eta steps), steps in multiples of k. Derived by
+# rewriting the two negative Pochhammer factors of the product form.
 _SPECIAL_FAMILIES = {
-    "3k": (3, (2, 3, 3), ("abs", 1, 6)),
-    "4k": (4, (2, 2), ("abs", 1)),
-    "6k": (6, (2, 2, 3, 12), ("abs", 1, 4, 6)),
+    "3k": (3, (2, 3, 3), (1, 6)),
+    "4k": (4, (2, 2), (1,)),
+    "6k": (6, (2, 2, 3, 12), (1, 4, 6)),
 }
 
 
@@ -175,9 +174,9 @@ def special_form(family: str, k: int, trunc_degree: int) -> qs.TruncSeriesZ:
     acc = qs.TruncSeriesZ.constant(1, trunc_degree)
     for m in nums:
         acc = qs.mul(acc, qs.eta_product(m * k, trunc_degree))
+    acc = qs.div(acc, qs.eta_product(1, trunc_degree))
     for m in dens:
-        step = 1 if m == "abs" else m * k
-        acc = qs.div(acc, qs.eta_product(step, trunc_degree))
+        acc = qs.div(acc, qs.eta_product(m * k, trunc_degree))
     return acc
 
 

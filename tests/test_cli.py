@@ -419,15 +419,16 @@ def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
     assert code == 1
     detail = json.loads(out)["checks"][0]["detail"]
     assert detail == {"counterexamples": list(range(4, 34, 3)), "counterexample_count": 32}
+    # both lemma 1 records report from the one list of mismatches
     monkeypatch.setattr(
-        checks.parity, "convolution_parity_failures", lambda params, table: list(range(1, 16))
+        checks.parity, "convolution_mismatches", lambda params, table: list(range(1, 16))
     )
     code, out, _ = run_cli(
         ["verify", "--suite", "lemma1", "--k", "3", "--i", "1", "--n-max", "20"], capsys
     )
     assert code == 1
     wholesale, per_n = json.loads(out)["checks"]
-    assert wholesale["detail"] == {"first_mismatch": None, "mismatch_count": 0}
+    assert wholesale["detail"] == {"first_mismatch": 1, "mismatch_count": 15}
     assert per_n["detail"] == {"failures": list(range(1, 11)), "failure_count": 15}
 
 

@@ -21,7 +21,6 @@ from singover.parity import (
     ParityWitness,
     convolution_mismatches,
     convolution_parity_check,
-    convolution_parity_failures,
     exceptional_set,
     exclusion_counterexamples,
     find_even_in_interval,
@@ -131,18 +130,16 @@ def test_wholesale_convolution(k, i):
 
 @pytest.mark.parametrize("k,i", [(3, 1), (4, 2), (7, 3)])
 def test_convolution_failures_match_the_per_n_check(k, i):
-    # the whole-table per-n check and the wholesale check find exactly
-    # the degrees the single-n check rejects, on a true table and on one
-    # with a single parity flipped
+    # the wholesale check finds exactly the degrees the single-n check
+    # rejects, on a true table and on one with a single parity flipped
     params = SingularParams(k, i)
     table = coefficients_theta(params, 120)
-    assert convolution_parity_failures(params, table) == []
+    assert convolution_mismatches(params, table) == []
     values = list(table.coeffs)
     values[40] += 1
     bad_table = qs.TruncSeriesZ(values)
     per_n = [n for n in range(1, 121) if not convolution_parity_check(params, n, bad_table)]
     assert 40 in per_n
-    assert convolution_parity_failures(params, bad_table) == per_n
     assert convolution_mismatches(params, bad_table) == per_n
     assert first_convolution_mismatch(params, bad_table) == 40
 
@@ -167,8 +164,10 @@ def reference_failures(params, values):
 
 
 @pytest.mark.parametrize("k,i", [(k, i) for k, i in ADMISSIBLE_PARAMS if k <= 13])
-def test_per_n_failures_match_the_reference_loop(k, i):
-    # on the true table and on one with odd errors planted, at every N
+def test_per_n_failures_match_the_reference_loop(k, i, monkeypatch):
+    # on the true table, on one with odd errors planted and on one with
+    # an odd error at degree 0 only, at every N; the lemma 1 suite reads
+    # the table from the patched store
     params = SingularParams(k, i)
     rng = random.Random(f"per-n {k},{i}")
     full = coefficients_theta(params, 2875).coeffs
@@ -177,14 +176,26 @@ def test_per_n_failures_match_the_reference_loop(k, i):
         planted = list(clean)
         for n in rng.sample(range(n_max + 1), min(5, n_max + 1)):
             planted[n] += rng.choice((-1, 1)) * (2 * rng.randrange(4) + 1)
-        for values in (clean, planted):
+        at_zero = list(clean)
+        at_zero[0] += 1  # C(0) = 1 turns even
+        for values in (clean, planted, at_zero):
             expected = reference_failures(params, values)
             if values is clean:
                 assert expected == []
             else:  # below N = 120 the planted errors can cancel
                 assert n_max < 120 or expected
             table = qs.TruncSeriesZ(values)
-            assert convolution_parity_failures(params, table) == expected
+            monkeypatch.setattr(tables, "coefficients_theta", lambda p, n: table)
+            wholesale, per_n = checks.lemma1(k, i, n_max)
+            assert per_n["detail"] == {"failures": expected[:10], "failure_count": len(expected)}
+            # theta has constant term 1, so degree 0 mismatches when C(0) is
+            # even; the wholesale list reports it, the per-n record does not
+            zero = [0] if values[0] % 2 == 0 else []
+            assert convolution_mismatches(params, table) == zero + expected
+            assert wholesale["detail"] == {
+                "first_mismatch": (zero + expected or [None])[0],
+                "mismatch_count": len(zero + expected),
+            }
             probes = range(1, n_max + 1) if n_max <= 120 else rng.sample(range(1, n_max + 1), 40)
             for n in probes:
                 assert convolution_parity_check(params, n, table) == (n not in expected)

@@ -27,14 +27,13 @@ def run_script(args):
 @pytest.mark.parametrize(
     "args, first_line",
     [
-        (["scripts/witness_survey.py", "--primes", "5", "7", "--ell-max", "20"], "p = 5"),
         (
             ["scripts/scan_progressions.py", "--p", "5", "--a-max", "12", "--x", "3000",
              "--min-hits", "5"],
             "# candidates for constant parity of C-bar_{5,1}(a n + b), a n + b <= 3000",
         ),
     ],
-    ids=["witness_survey", "scan_progressions"],
+    ids=["scan_progressions"],
 )
 def test_script_runs_deterministically(args, first_line):
     first, second = run_script(args), run_script(args)
