@@ -9,6 +9,9 @@ exact infinite-series result through degree N.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add
+
 from .errors import (
     DegreeMismatchError,
     NonUnitDivisorError,
@@ -226,18 +229,39 @@ def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
 def _mul_pochhammer_neg(res: list, a: int, b: int) -> None:
     """Multiply the coefficient list in place by (-q^a; q^b)_inf, truncated.
 
-    Applies one factor (1 + q^c) per c = a, a+b, ... up to the
-    truncation degree len(res) - 1; factors whose lowest exponent
-    exceeds that degree are 1 through it, so dropping them is exact.
-    Each factor is one slice update costing O(N - c).
+    Euler's identity (Andrews, *The Theory of Partitions*, 1976,
+    Cor. 2.2) with z = q^a and base q^b gives
+
+        (-q^a; q^b)_inf = sum_{n>=0} q^(b n(n-1)/2 + a n) / (q^b; q^b)_n,
+
+    so res times it is res plus the shifts of y_n = res / (q^b; q^b)_n.
+    y_n is y_(n-1) divided by (1 - q^(bn)): a running sum along each
+    residue class mod bn. Term n starts at degree e_n = b n(n-1)/2 + a n,
+    so y_n is needed only through degree N - e_n, N = len(res) - 1, and
+    the sum stops at the first e_n > N. About sqrt(2N/b) terms of O(N)
+    each, so O(N sqrt(N/b)) in all.
     """
-    for c in range(a, len(res), b):
-        # multiply by (1 + q^c): new[n] = old[n] + old[n - c]
-        res[c:] = [x + y for x, y in zip(res[c:], res)]
+    top = len(res)
+    y = res[:]
+    n = 1
+    e = a
+    while e < top:
+        del y[top - e:]
+        d = b * n
+        # only residue classes with at least two members change
+        for s in range(min(d, len(y) - d)):
+            y[s::d] = accumulate(y[s::d])
+        res[e:] = map(add, res[e:], y)
+        e += d + a
+        n += 1
 
 
 def pochhammer_neg(a: int, b: int, trunc_degree: int) -> TruncSeriesZ:
-    """The product (-q^a; q^b)_inf = prod_{j>=0} (1 + q^(a+jb)), truncated."""
+    """The product (-q^a; q^b)_inf = prod_{j>=0} (1 + q^(a+jb)), truncated.
+
+    Expanded by Euler's identity, one term per n with
+    b n(n-1)/2 + a n <= N (see ``_mul_pochhammer_neg``).
+    """
     if a < 1 or b < 1:
         raise ParameterError(f"offsets must be >= 1, got a={a}, b={b}")
     if trunc_degree < 0:

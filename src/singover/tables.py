@@ -10,11 +10,13 @@ Three routes to the same numbers:
 
 * ``coefficients_product``: the defining infinite-product quotient
   (q^k;q^k) (-q^i;q^k) (-q^(k-i);q^k) / (q;q). It starts from the
-  sparse pentagonal expansion of (q^k;q^k), multiplies in each factor
-  (1 + q^c) with c = i or k-i (mod k) in place, one O(N) slice update
-  per factor and so O(N^2 / k) in all, and divides by (q;q). It never
-  forms a dense-by-dense product and never touches the theta numerator,
-  so its agreement with the theta route is an independent cross-check.
+  sparse pentagonal expansion of (q^k;q^k), multiplies in (-q^i;q^k)
+  and (-q^(k-i);q^k) in place, each expanded by Euler's identity
+  (-z;q)_inf = sum_n q^(n(n-1)/2) z^n / (q;q)_n: about sqrt(2N/k)
+  terms of O(N) each, so O(N sqrt(N/k)) in all. It then divides by
+  (q;q). It never forms a dense-by-dense product and never touches the
+  theta numerator (Euler's identity is not Jacobi's triple product), so
+  its agreement with the theta route is an independent cross-check.
 * ``coefficients_theta``: Andrews' theta identity, a sparse two-sided
   theta numerator divided by (q;q). This is the default fast exact path.
 * ``special_form``: the reduced eta-quotients available when (k, i) is

@@ -178,15 +178,23 @@ def test_c10_performance():
     exact = coefficients_theta(params, 10_000)
     exact_time = time.perf_counter() - start
 
+    # the product store is still empty, so this builds the table too
+    start = time.perf_counter()
+    product = coefficients_product(params, 10_000)
+    product_time = time.perf_counter() - start
+
     mask = (1 << 10_001) - 1
     agree = (packed.bits & mask) == reduce_mod2(exact).bits
     agree &= (at_cap.bits & ((1 << 100_001) - 1)) == packed.bits
-    ok = parity_time <= 10.0 and cap_time <= 10.0 and exact_time <= 60.0
+    agree &= product.coeffs == exact.coeffs
+    ok = parity_time <= 10.0 and cap_time <= 10.0
+    ok = ok and exact_time <= 60.0 and product_time <= 60.0
     ok = ok and agree and exact.coeffs[0] == 1
     report(
         "C10 performance budgets",
         ok,
         f"parity 10^5 in {parity_time:.2f}s (<=10s), "
         f"parity 10^6 in {cap_time:.2f}s (<=10s), "
-        f"exact 10^4 in {exact_time:.2f}s (<=60s), paths agree={agree}",
+        f"exact 10^4 in {exact_time:.2f}s (<=60s), "
+        f"product 10^4 in {product_time:.2f}s (<=60s), paths agree={agree}",
     )

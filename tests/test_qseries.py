@@ -1,5 +1,7 @@
 """Integer-series arithmetic: exactness, ring laws, the named products."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from singover.params import SingularParams
 from singover.parity import exceptional_set
 from singover.qseries import (
     TruncSeriesZ,
+    _mul_pochhammer_neg,
     div,
     eta_product,
     form_bits,
@@ -250,6 +253,31 @@ def test_pochhammer_matches_enumeration(a, b, n):
     series = pochhammer_neg(a, b, n)
     for e in range(n + 1):
         assert series.coeffs[e] == distinct_ap_count(a, b, e)
+
+
+def mul_pochhammer_neg_by_factors(res, a, b):
+    """Reference: multiply res in place by each factor (1 + q^c), c = a, a+b, ..."""
+    for c in range(a, len(res), b):
+        res[c:] = [x + y for x, y in zip(res[c:], res)]
+
+
+@pytest.mark.parametrize("b", range(1, 13))
+def test_euler_expansion_matches_factor_by_factor(b):
+    rng = random.Random(b)
+    for a in range(1, 13):
+        for n in sorted({0, 1, a - 1, a, a + b - 1, a + b, 2 * a + b, 300}):
+            starts = (
+                [1] + [0] * n,
+                list(eta_product(b, n).coeffs),
+                [rng.randint(-99, 99) for _ in range(n + 1)],
+            )
+            for start in starts:
+                want, got = start[:], start[:]
+                # twice, as the product route applies it at i = k/2
+                for _ in range(2):
+                    mul_pochhammer_neg_by_factors(want, a, b)
+                    _mul_pochhammer_neg(got, a, b)
+                    assert got == want, (a, b, n, start[:3])
 
 
 def test_pochhammer_rejects_bad_offsets():

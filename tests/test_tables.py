@@ -46,11 +46,13 @@ def test_pipelines_agree(k, i):
 
 
 def test_pipelines_agree_at_exact_cap():
-    params = SingularParams(5, 1)
-    assert (
-        coefficients_product(params, CAP_EXACT).coeffs
-        == coefficients_theta(params, CAP_EXACT).coeffs
-    )
+    # (4, 2) is the i = k/2 case, where the product lists one factor twice
+    for k, i in [(3, 1), (4, 2), (5, 1), (13, 6)]:
+        params = SingularParams(k, i)
+        assert (
+            coefficients_product(params, CAP_EXACT).coeffs
+            == coefficients_theta(params, CAP_EXACT).coeffs
+        ), (k, i)
 
 
 @pytest.mark.parametrize("k,i", SAMPLE_PARAMS)
