@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Time the command table of ROADMAP item 1, each command in-process.
+
+Each command runs through ``singover.cli.main`` with stdout captured
+and every table store cleared before each run; the time kept is the
+best of --repeat runs. The JSON file written to --out holds, per
+command, the seconds and the SHA-256 of its stdout, plus the Python
+version and the core count. Standard library only.
+
+    python scripts/bench_commands.py --out BENCH.json
+    python scripts/bench_commands.py --shrink 100 --repeat 1 --out /tmp/b.json
+
+--shrink D divides every degree cap by D (at least 1), for a quick run.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import time
+
+from singover import cli, tables
+
+# (argv with {} for the degree cap, degree cap)
+COMMANDS = [
+    ("compute --k 5 --i 1 --n-max {}", 10_000),
+    ("compute --k 5 --i 1 --n-max {} --source product", 10_000),
+    ("verify --suite pipelines --k 5 --i 1 --n-max {}", 10_000),
+    ("verify --suite lemma1 --k 5 --i 1 --n-max {}", 10_000),
+    ("verify --suite oracle --k 13 --i 1 --n-max {}", 2_000),
+    ("verify --suite special-forms --k 1 --n-max {}", 10_000),
+    ("verify --suite parity-facts --n-max {}", 1_000_000),
+    ("verify --suite intervals --p 5 --ell-max {}", 816),
+    ("verify --suite exclusions --p 5 --ell-max {}", 1_000_000),
+    ("density --p 5 --x {}", 1_000_000),
+]
+
+
+def run_once(argv):
+    """Seconds and stdout of one run of ``cli.main(argv)`` from empty stores."""
+    tables.clear_caches()
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited with {code}")
+    return seconds, out.getvalue()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per command, best kept")
+    parser.add_argument("--shrink", type=int, default=1, help="divide every degree cap by this")
+    args = parser.parse_args()
+    if args.repeat < 1 or args.shrink < 1:
+        parser.error("--repeat and --shrink must be >= 1")
+
+    rows = []
+    for template, cap in COMMANDS:
+        command = template.format(max(1, cap // args.shrink))
+        argv = command.split()
+        runs = [run_once(argv) for _ in range(args.repeat)]
+        digests = {hashlib.sha256(out.encode()).hexdigest() for _, out in runs}
+        if len(digests) != 1:
+            raise SystemExit(f"{command}: stdout differs between runs")
+        seconds = min(s for s, _ in runs)
+        rows.append({"command": command, "seconds": round(seconds, 4),
+                     "stdout_sha256": digests.pop()})
+        print(f"{seconds:8.3f} s  {command}")
+
+    report = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "repeat": args.repeat,
+        "shrink": args.shrink,
+        "commands": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

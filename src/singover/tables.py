@@ -91,12 +91,6 @@ class _TableStore:
         with self._lock:
             self._held.clear()
 
-    def __len__(self) -> int:
-        return len(self._held)
-
-    def __contains__(self, params) -> bool:
-        return params in self._held
-
 
 def _grow_product(params, trunc_degree, held) -> qs.TruncSeriesZ:
     k, i = params.k, params.i

@@ -10,7 +10,9 @@ from singover.errors import DegreeMismatchError, NonUnitDivisorError, ParameterE
 from singover.params import SingularParams
 from singover.parity import exceptional_set
 from singover.qseries import (
+    _BLOCK,
     TruncSeriesZ,
+    _div_extend,
     _mul_pochhammer_neg,
     div,
     eta_product,
@@ -127,6 +129,29 @@ def test_mul_truncation_consistency(pair, cut):
     assert full == direct
 
 
+def mul_by_comprehension(s, t):
+    """Reference: every nonzero term of s takes the multiply-add comprehension."""
+    res = [0] * len(s.coeffs)
+    for j, c in enumerate(s.coeffs):
+        if c:
+            res[j:] = [r + c * v for r, v in zip(res[j:], t.coeffs)]
+    return TruncSeriesZ(res)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 200])
+def test_sign_split_mul_against_comprehension(n):
+    # a sparse factor mixing +-1 with other coefficients, a dense one,
+    # and an eta product (all +-1): the sparser one drives either order
+    rng = random.Random(n)
+    sparse = [rng.choice((1, -1, 2, -5, 0, 0, 0, 0)) for _ in range(n + 1)]
+    dense = [rng.randint(-99, 99) for _ in range(n + 1)]
+    series = [TruncSeriesZ(sparse), TruncSeriesZ(dense), eta_product(2, n)]
+    for s in series:
+        for t in series:
+            want = mul_by_comprehension(s, t)
+            assert mul(s, t) == want and mul(t, s) == want
+
+
 # --- division ----------------------------------------------------------------
 
 
@@ -155,18 +180,64 @@ def test_div_nonunit_rejected():
         div(TruncSeriesZ([1, 1]), TruncSeriesZ([2, 1]))
 
 
+def div_extend_by_degree(r, sc, tc):
+    """Reference: the per-degree forward substitution, every term each degree."""
+    nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
+    for e in range(len(r), len(sc)):
+        acc = sc[e]
+        for j, c in nz:
+            if j > e:
+                break
+            acc -= c * r[e - j]
+        r.append(acc * tc[0])
+
+
 def test_div_mixed_divisor_against_naive_loop():
     # t0 = -1 and a divisor mixing +-1 terms with other coefficients, so
     # every sign class of the forward substitution is exercised
     s = TruncSeriesZ([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8])
     t = TruncSeriesZ([-1, 1, -1, 2, 0, -3, 1, 0, -1, 7, 0, 1])
-    n = s.trunc_degree
     r = []
-    for e in range(n + 1):
-        acc = s.coeffs[e] - sum(t.coeffs[j] * r[e - j] for j in range(1, e + 1))
-        r.append(acc // t.coeffs[0])
+    div_extend_by_degree(r, s.coeffs, t.coeffs)
     assert div(s, t).coeffs == tuple(r)
     assert mul(div(s, t), t) == s
+
+
+def block_divisors(n):
+    """(q;q), eta products whose first term is at or past the block width,
+    their negations (t0 = -1), and a divisor mixing +-1 with others."""
+    etas = [eta_product(m, n).coeffs for m in (1, 2, 7, 64, 65, 200)]
+    rng = random.Random(n)
+    mixed = (1,) + tuple(rng.choice((1, -1, 1, -1, 2, -3, 0, 0)) for _ in range(n))
+    return etas + [tuple(-c for c in t) for t in etas] + [mixed]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 323, 1000])
+def test_blocked_div_against_per_degree_loop(n):
+    assert _BLOCK == 64  # the degrees above straddle the block edges
+    rng = random.Random(-n)
+    numerators = [
+        theta_sum(5, 1, n).coeffs,
+        tuple(rng.randint(-9, 9) for _ in range(n + 1)),
+    ]
+    for sc in numerators:
+        for tc in block_divisors(n):
+            want = []
+            div_extend_by_degree(want, sc, tc)
+            assert div(TruncSeriesZ(sc), TruncSeriesZ(tc)).coeffs == tuple(want)
+
+
+def test_blocked_div_resumes_from_every_start():
+    # resumes that begin inside a block and below the block width
+    n = 323
+    sc = theta_sum(7, 2, n).coeffs
+    for tc in block_divisors(n):
+        want = []
+        div_extend_by_degree(want, sc, tc)
+        for start in range(131):
+            r = want[:start]
+            _div_extend(r, sc, tc)
+            assert r == want, start
 
 
 @given(unit_divisor_pair())

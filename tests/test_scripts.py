@@ -1,5 +1,6 @@
 """The experiment scripts run at small sizes, with deterministic output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,17 @@ def test_script_runs_deterministically(args, first_line):
     assert first.returncode == 0, first.stderr
     assert first.stdout.startswith(first_line)
     assert second.returncode == 0 and second.stdout == first.stdout
+
+
+def test_bench_commands_writes_its_report(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script(
+        ["scripts/bench_commands.py", "--shrink", "200", "--repeat", "2", "--out", str(out)]
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["python"] and report["cores"] >= 1
+    rows = report["commands"]
+    assert len(rows) == 10 and rows[0]["command"] == "compute --k 5 --i 1 --n-max 50"
+    assert all(row["seconds"] >= 0 and len(row["stdout_sha256"]) == 64 for row in rows)
+    assert len(done.stdout.splitlines()) == 10

@@ -235,11 +235,12 @@ def test_store_evicts_least_recently_used(route):
         build(params, 10)
     build(pairs[0], 5)  # a use of the oldest pair makes pairs[1] the oldest
     build(pairs[STORE_BUDGET], 10)
-    assert len(store) == STORE_BUDGET
-    assert pairs[0] in store and pairs[1] not in store
+    held = store._held
+    assert len(held) == STORE_BUDGET
+    assert pairs[0] in held and pairs[1] not in held
     build(pairs[STORE_BUDGET + 1], 10)
-    assert len(store) == STORE_BUDGET
-    assert pairs[2] not in store and pairs[STORE_BUDGET + 1] in store
+    assert len(held) == STORE_BUDGET
+    assert pairs[2] not in held and pairs[STORE_BUDGET + 1] in held
 
 
 def test_clear_caches_empties_every_store():
@@ -247,7 +248,7 @@ def test_clear_caches_empties_every_store():
         for k, i in ADMISSIBLE_PARAMS[:5]:
             build(SingularParams(k, i), 40)
     clear_caches()
-    assert all(len(store) == 0 for _, store in ROUTES.values())
+    assert all(not store._held for _, store in ROUTES.values())
 
 
 def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
@@ -323,4 +324,4 @@ def test_store_under_concurrent_requests():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert all(len(store) <= STORE_BUDGET for _, store in ROUTES.values())
+    assert all(len(store._held) <= STORE_BUDGET for _, store in ROUTES.values())
