@@ -28,6 +28,7 @@ from singover import cli, tables
 COMMANDS = [
     ("compute --k 5 --i 1 --n-max {}", 10_000),
     ("compute --k 5 --i 1 --n-max {} --source product", 10_000),
+    ("compute --k 5 --i 1 --n-max {} --format csv", 10_000),
     ("verify --suite pipelines --k 5 --i 1 --n-max {}", 10_000),
     ("verify --suite lemma1 --k 5 --i 1 --n-max {}", 10_000),
     ("verify --suite oracle --k 13 --i 1 --n-max {}", 2_000),

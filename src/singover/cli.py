@@ -83,28 +83,26 @@ def _emit_csv_rows(header, rows, out) -> None:
         writer.writerow(row)
 
 
-def _table_payload(params: SingularParams, source: str, table) -> dict:
-    return {
-        "params": {"k": params.k, "i": params.i},
-        "N": table.trunc_degree,
-        "source": source,
-        "values": list(map(str, table.coeffs)),
-        "parities": [v & 1 for v in table.coeffs],
-    }
-
-
 def _emit_table(params, source, table, fmt, out) -> None:
+    """Write a table in one joined pass per format over ``table.coeffs``:
+    byte for byte the ``json.dumps(indent=2)`` payload, the ``csv.writer``
+    rows or the plain ``n=… value=… parity=…`` lines."""
+    coeffs = table.coeffs
     if fmt == "json":
-        _emit_json(_table_payload(params, source, table), out)
-    elif fmt == "csv":
-        _emit_csv_rows(
-            ("n", "value", "parity"),
-            ((n, v, v & 1) for n, v in enumerate(table.coeffs)),
-            out,
+        out.write(
+            f'{{\n  "params": {{\n    "k": {params.k},\n    "i": {params.i}\n  }},\n'
+            f'  "N": {table.trunc_degree},\n  "source": {json.dumps(source)},\n'
+            '  "values": [\n    "'
         )
+        out.write('",\n    "'.join(map(str, coeffs)))
+        out.write('"\n  ],\n  "parities": [\n    ')
+        out.write(",\n    ".join(["01"[v & 1] for v in coeffs]))
+        out.write("\n  ]\n}\n")
+    elif fmt == "csv":
+        out.write("n,value,parity\n")
+        out.write("".join([f"{n},{v},{v & 1}\n" for n, v in enumerate(coeffs)]))
     else:
-        for n, v in enumerate(table.coeffs):
-            out.write(f"n={n} value={v} parity={v & 1}\n")
+        out.write("".join([f"n={n} value={v} parity={v & 1}\n" for n, v in enumerate(coeffs)]))
 
 
 def _emit_checks(suite, config, results, fmt, out) -> bool:

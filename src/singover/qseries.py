@@ -78,9 +78,6 @@ class TruncSeriesF2:
         self.bits = bits
         self.trunc_degree = trunc_degree
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(_set_bits(self.bits))
-
     def window(self, lo: int, hi: int) -> int:
         """Bits of degrees lo..hi packed into one int, degree lo + j at bit j."""
         if hi > self.trunc_degree:
@@ -104,8 +101,8 @@ class TruncSeriesF2:
         )
 
     def __repr__(self):
-        head = self.support()[:10]
-        return f"TruncSeriesF2(N={self.trunc_degree}, support={list(head)}...)"
+        head = _set_bits(self.bits)[:10]
+        return f"TruncSeriesF2(N={self.trunc_degree}, support={head}...)"
 
 
 def _require_same_degree(s, t):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singover import checks, cli, tables
+from singover.params import SingularParams
 
 
 def run_cli(args, capsys):
@@ -106,6 +108,51 @@ def test_compute_sources_agree(capsys):
     _, theta_out, _ = run_cli(args, capsys)
     _, product_out, _ = run_cli(args + ["--source", "product"], capsys)
     assert json.loads(theta_out)["values"] == json.loads(product_out)["values"]
+
+
+def reference_table(k, i, n_max, source, fmt):
+    """The compute reply built the plain way: a payload through json.dumps,
+    rows through csv.writer, or one plain line per degree."""
+    build = tables.coefficients_product if source == "product" else tables.coefficients_theta
+    coeffs = build(SingularParams(k, i), n_max).coeffs
+    if fmt == "json":
+        payload = {
+            "params": {"k": k, "i": i},
+            "N": n_max,
+            "source": source,
+            "values": [str(v) for v in coeffs],
+            "parities": [v & 1 for v in coeffs],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("n", "value", "parity"))
+        writer.writerows((n, v, v & 1) for n, v in enumerate(coeffs))
+    else:
+        for n, v in enumerate(coeffs):
+            out.write(f"n={n} value={v} parity={v & 1}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("source", ["theta", "product"])
+@pytest.mark.parametrize("k,i", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("n_max", [0, 1, 97])
+def test_compute_reply_matches_the_reference_writer(capsys, n_max, k, i, source, fmt):
+    args = ["compute", "--k", str(k), "--i", str(i), "--n-max", str(n_max)]
+    code, out, _ = run_cli(args + ["--source", source, "--format", fmt], capsys)
+    assert code == 0
+    assert out == reference_table(k, i, n_max, source, fmt)
+
+
+def test_compute_reply_at_the_exact_cap_matches_the_reference_writer(capsys):
+    n_max = checks.CAP_EXACT
+    code, out, _ = run_cli(["compute", "--k", "3", "--i", "1", "--n-max", str(n_max)], capsys)
+    assert code == 0
+    # compared by digest: pytest's failure diff of two 0.1 MB texts takes minutes
+    expected = reference_table(3, 1, n_max, "theta", "json")
+    assert sha256(out.encode()).hexdigest() == sha256(expected.encode()).hexdigest()
 
 
 def test_deterministic_output(capsys):

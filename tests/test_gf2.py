@@ -32,13 +32,13 @@ from singover.qseries import (
 
 
 def test_reduce_mod2_eta():
-    assert reduce_mod2(eta_product(1, 7)).support() == (0, 1, 2, 5, 7)
+    assert tuple(_set_bits(reduce_mod2(eta_product(1, 7)).bits)) == (0, 1, 2, 5, 7)
 
 
 def test_reduce_mod2_kills_even_coefficients():
     assert reduce_mod2(TruncSeriesZ([0, 0, 0, 0])).bits == 0
     assert reduce_mod2(TruncSeriesZ([2, 2, 2])).bits == 0
-    assert reduce_mod2(TruncSeriesZ([-1, -3, 4])).support() == (0, 1)
+    assert tuple(_set_bits(reduce_mod2(TruncSeriesZ([-1, -3, 4])).bits)) == (0, 1)
 
 
 def test_mul_f2_identity_and_cancellation():
@@ -46,7 +46,7 @@ def test_mul_f2_identity_and_cancellation():
     s = TruncSeriesF2(0b011, 2)
     assert mul_f2(one, s) == s
     # (1 + q)^2 = 1 + q^2 in characteristic 2
-    assert mul_f2(s, s).support() == (0, 2)
+    assert tuple(_set_bits(mul_f2(s, s).bits)) == (0, 2)
 
 
 def test_mul_f2_degree_mismatch():
@@ -113,7 +113,7 @@ def test_div_f2_matches_exact_quotient(k, i, n):
 
 def test_truncate_f2():
     s = TruncSeriesF2(0b1101, 3)
-    assert s.truncate(2).support() == (0, 2)
+    assert tuple(_set_bits(s.truncate(2).bits)) == (0, 2)
     assert s.truncate(3) == s
     with pytest.raises(ParameterError):
         s.truncate(4)

@@ -206,7 +206,7 @@ def integer_mismatches(params, table):
     n = table.trunc_degree
     lhs = qs.reduce_mod2(qs.mul(qs.eta_product(1, n), table))
     rhs = qs.reduce_mod2(qs.theta_sum(params.k, params.i, n))
-    return list(qs.TruncSeriesF2(lhs.bits ^ rhs.bits, n).support())
+    return qs._set_bits(lhs.bits ^ rhs.bits)
 
 
 @pytest.mark.parametrize("k,i", ADMISSIBLE_PARAMS)

@@ -52,6 +52,6 @@ def test_bench_commands_writes_its_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["python"] and report["cores"] >= 1
     rows = report["commands"]
-    assert len(rows) == 10 and rows[0]["command"] == "compute --k 5 --i 1 --n-max 50"
+    assert len(rows) == 11 and rows[0]["command"] == "compute --k 5 --i 1 --n-max 50"
     assert all(row["seconds"] >= 0 and len(row["stdout_sha256"]) == 64 for row in rows)
-    assert len(done.stdout.splitlines()) == 10
+    assert len(done.stdout.splitlines()) == 11
