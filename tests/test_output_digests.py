@@ -52,6 +52,7 @@ REQUESTS = [
     ("verify", "--suite", "oracle", "--k", "12", "--i", "6", "--n-max", "200"),
     ("verify", "--suite", "pipelines", "--k", "5", "--i", "1", "--n-max", "300"),
     ("verify", "--suite", "special-forms", "--n-max", "100", "--format", "plain"),
+    ("verify", "--suite", "special-forms", "--n-max", "100", "--format", "json"),
     *_formats("verify", "--suite", "parity-facts", "--n-max", "2000"),
     *_formats("verify", "--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "500"),
     ("verify", "--suite", "lemma1", "--k", "13", "--i", "1", "--n-max", "2875"),
@@ -59,6 +60,7 @@ REQUESTS = [
     *_formats("verify", "--suite", "exclusions", "--p", "7", "--ell-max", "400"),
     *_formats("verify", "--suite", "intervals", "--p", "13", "--ell-max", "40", "--mode", "strict"),
     ("verify", "--suite", "intervals", "--p", "5", "--ell-max", "120"),
+    ("verify", "--suite", "intervals", "--p", "47", "--ell-max", "257"),
     ("verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "20", "--mode", "strict"),
     *_formats("verify", "--suite", "all"),
     *_formats("density", "--p", "5", "--x", "5000"),
