@@ -2,10 +2,13 @@
 """Time the command table of ROADMAP item 1, each command in-process.
 
 Each command runs through ``singover.cli.main`` with stdout captured
-and every table store cleared before each run; the time kept is the
-best of --repeat runs. The JSON file written to --out holds, per
-command, the seconds and the SHA-256 of its stdout, plus the Python
-version and the core count. Standard library only.
+and every table store cleared before each run. The commands run
+round-robin: each of --repeat passes runs every command once, in table
+order, so a slow stretch of a shared host spreads over every row
+instead of landing on one. The time kept is a command's best pass.
+The JSON file written to --out holds, per command, the seconds and the
+SHA-256 of its stdout, plus the Python version and the core count.
+Standard library only.
 
     python scripts/bench_commands.py --out BENCH.json
     python scripts/bench_commands.py --shrink 100 --repeat 1 --out /tmp/b.json
@@ -56,17 +59,16 @@ def run_once(argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per command, best kept")
+    parser.add_argument("--repeat", type=int, default=3, help="passes over the commands, best kept")
     parser.add_argument("--shrink", type=int, default=1, help="divide every degree cap by this")
     args = parser.parse_args()
     if args.repeat < 1 or args.shrink < 1:
         parser.error("--repeat and --shrink must be >= 1")
 
+    commands = [template.format(max(1, cap // args.shrink)) for template, cap in COMMANDS]
+    passes = [[run_once(command.split()) for command in commands] for _ in range(args.repeat)]
     rows = []
-    for template, cap in COMMANDS:
-        command = template.format(max(1, cap // args.shrink))
-        argv = command.split()
-        runs = [run_once(argv) for _ in range(args.repeat)]
+    for command, runs in zip(commands, zip(*passes)):
         digests = {hashlib.sha256(out.encode()).hexdigest() for _, out in runs}
         if len(digests) != 1:
             raise SystemExit(f"{command}: stdout differs between runs")

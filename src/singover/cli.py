@@ -25,55 +25,7 @@ from .params import SingularParams
 
 
 def _emit_json(payload, out) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline, piece by piece."""
-    out.writelines(_json_pieces(payload, 0))
-    out.write("\n")
-
-
-# Member types that make a container flat; anything else, a subclass
-# included, takes the recursive path.
-_SCALARS = frozenset((str, int, bool, float, type(None)))
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """Encodes a container of scalars in one C call, its members on
-    lines of their own at the given depth, without the line break and
-    indent that follow the opening bracket and precede the closing one."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _json_pieces(obj, depth: int):
-    """The text of ``json.dumps(obj, indent=2)`` for obj at the given
-    depth, in pieces: one per container of scalars, the rest recursing.
-    Keys are str."""
-    if isinstance(obj, dict):
-        brackets, members = "{}", obj.values()
-    elif isinstance(obj, (list, tuple)):
-        brackets, members = "[]", obj
-    else:
-        yield _flat_encoder(0)(obj)
-        return
-    if not obj:
-        yield brackets
-        return
-    close = "\n" + "  " * depth
-    inner = close + "  "
-    if {*map(type, members)} <= _SCALARS:
-        yield brackets[0] + inner
-        yield _flat_encoder(depth + 1)(obj)[1:-1]
-        yield close + brackets[1]
-        return
-    if isinstance(obj, dict):
-        keys = [_flat_encoder(0)(key) + ": " for key in obj]
-    else:
-        keys = [""] * len(obj)
-    sep = brackets[0] + inner
-    for key, value in zip(keys, members):
-        yield sep + key
-        yield from _json_pieces(value, depth + 1)
-        sep = "," + inner
-    yield close + brackets[1]
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv_rows(header, rows, out) -> None:

@@ -13,15 +13,15 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   n's (m, sign) witness count. The lemma 1 suite reports that one list
   twice: whole, and per n from degree 1 on, where the identity is
   stated. ``convolution_parity_check`` asks it about a single n.
-* ``form_witness`` answers "is T = k m^2 +- m(k-2i) for some m >= 1"
-  in closed form, with one integer square root, and
-  ``exclusion_counterexamples`` asks it for every l of the form
-  exclusions l(3l +- 1).
+* ``_residue_witness`` answers "is T = k m^2 +- m(k-2i) for some
+  m >= 1, and for which i <= k/2" with one integer square root. It
+  serves ``exclusion_counterexamples``, which asks it for every l of
+  the form exclusions l(3l +- 1) and counts a hit at i = 1, and the
+  precondition of the interval finders below.
 * ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
-  Their precondition asks which residue i, if any, has a form that
-  takes the target; at most one does, and one integer square root
-  finds it.
+  Their precondition asks ``_residue_witness`` which residue i, if
+  any, has a form that takes the target; at most one does.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -102,27 +102,25 @@ def first_convolution_mismatch(params: SingularParams, table) -> int | None:
     return bad[0] if bad else None
 
 
-def form_witness(k: int, i: int, target: int) -> tuple[int, int] | None:
-    """Smallest m >= 1 with k m^2 +- m(k-2i) = target, as (m, sign), or None.
+def _residue_witness(k: int, target: int) -> tuple[int, int, int] | None:
+    """The i <= k/2 with target = k m^2 +- m(k-2i) for some m >= 1, as
+    (i, m, sign), or None.
 
-    With d = k - 2i, both signs solve to m = (r -+ d) / 2k where
-    r^2 = d^2 + 4 k target, so one integer square root decides. The
-    two roots differ by d/k < 1, so for i < k/2 at most one is an
-    integer; at i = k/2 they coincide and the minus sign is reported.
+    With d = k - 2i in [0, k-2], target lies in [k m^2 - (k-2)m,
+    k m^2 + (k-2)m]. These ranges are disjoint for distinct m (the next
+    one starts 4m + 2 higher), so at most one (i, m) takes the target,
+    and k m(m-1) < target < k(m+1)^2 leaves m = isqrt(target // k) or
+    one more. That m fixes s d = target/m - k m, and d fixes i. At
+    d = 0 both signs coincide and minus is reported.
     """
-    SingularParams(k, i)  # validates (k, i)
-    if target < 1:
-        raise ParameterError(f"target must be positive, got {target}")
-    d = k - 2 * i
-    disc = d * d + 4 * k * target
-    r = math.isqrt(disc)
-    if r * r != disc:
-        return None
-    # r > d because target >= 1, so a root divisible by 2k has m >= 1
-    for sign in (-1, +1):
-        m, rest = divmod(r - sign * d, 2 * k)
-        if not rest:
-            return (m, sign)
+    r = math.isqrt(target // k)
+    for m in (r, r + 1):
+        if m < 1 or target % m:
+            continue
+        s_d = target // m - k * m
+        d = abs(s_d)
+        if d <= k - 2 and (k - d) % 2 == 0:
+            return (k - d) // 2, m, 1 if s_d > 0 else -1
     return None
 
 
@@ -166,7 +164,8 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     The even variant asks that l(3l+1), l = 1 mod 3, and the odd variant
     that l(3l-1), l = 2 mod 3, is not p m^2 +- m(p-2) for any m >= 1.
     Both hold for every prime p >= 5, so the expected result is the
-    empty list; each l costs one ``form_witness`` root.
+    empty list; each l costs one integer square root in
+    ``_residue_witness``, and a hit counts only at residue i = 1.
     """
     if variant == "even":
         start, sign = 4, +1  # smallest l >= 2 with l = 1 mod 3
@@ -180,7 +179,7 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     return [
         l
         for l in range(start, ell_max + 1, 3)
-        if form_witness(p, 1, l * (3 * l + sign)) is not None
+        if (hit := _residue_witness(p, l * (3 * l + sign))) and hit[0] == 1
     ]
 
 
@@ -211,29 +210,6 @@ def _scan_interval(params, table, lo, hi, want_bit, ell, label) -> ParityWitness
         f"(l = {ell}); this contradicts a proven statement",
         payload={"params": (params.k, params.i), "lo": lo, "hi": hi, "ell": ell},
     )
-
-
-def _residue_witness(k: int, target: int) -> tuple[int, int, int] | None:
-    """The i <= k/2 with target = k m^2 +- m(k-2i) for some m >= 1, as
-    (i, m, sign), or None.
-
-    With d = k - 2i in [0, k-2], target lies in [k m^2 - (k-2)m,
-    k m^2 + (k-2)m]. These ranges are disjoint for distinct m (the next
-    one starts 4m + 2 higher), so at most one (i, m) takes the target,
-    and k m(m-1) < target < k(m+1)^2 leaves m = isqrt(target // k) or
-    one more. That m fixes s d = target/m - k m, and d fixes i. At
-    d = 0 both signs coincide and minus is reported, as by
-    ``form_witness``.
-    """
-    r = math.isqrt(target // k)
-    for m in (r, r + 1):
-        if m < 1 or target % m:
-            continue
-        s_d = target // m - k * m
-        d = abs(s_d)
-        if d <= k - 2 and (k - d) % 2 == 0:
-            return (k - d) // 2, m, 1 if s_d > 0 else -1
-    return None
 
 
 def _require_excluded(params: SingularParams, target: int, mode: str) -> None:

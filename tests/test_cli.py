@@ -12,8 +12,6 @@ from hashlib import sha256
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singover import checks, cli, tables
 from singover.params import SingularParams
@@ -33,47 +31,6 @@ def test_compute_worked_example(capsys):
     assert payload["N"] == 4
     assert payload["values"][-1] == "10"
     assert payload["parities"][-1] == 0
-
-
-_TEXT = st.text(
-    # quotes, backslashes, control characters and non-ASCII text
-    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f'), st.characters()), max_size=12
-)
-_SCALAR = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), _TEXT
-)
-_JSON = st.recursive(
-    _SCALAR,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(_TEXT, inner, max_size=5),
-    ),
-    max_leaves=20,
-)
-
-
-def _nest(obj, depth):
-    """obj wrapped in depth alternating lists and dicts."""
-    for level in range(depth):
-        obj = [obj, level] if level % 2 else {"level": level, "inner": obj}
-    return obj
-
-
-@given(_JSON, st.integers(0, 5))
-@settings(max_examples=100, deadline=None)
-def test_emit_json_matches_json_dumps(obj, depth):
-    obj = _nest(obj, depth)
-    out = io.StringIO()
-    cli._emit_json(obj, out)
-    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
-
-
-def test_emit_json_edge_cases():
-    for obj in ({}, [], (), {"a": [], "b": {}, "c": ()}, [[[[[]]]]], [{"k": [1, (2,)]}, {}]):
-        out = io.StringIO()
-        cli._emit_json(obj, out)
-        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 def test_compute_single_row(capsys):

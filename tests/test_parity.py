@@ -26,7 +26,6 @@ from singover.parity import (
     find_even_in_interval,
     find_odd_in_interval,
     first_convolution_mismatch,
-    form_witness,
     _require_excluded,
     _require_prime,
     _residue_witness,
@@ -268,34 +267,67 @@ def direct_form_witnesses(k, i, bound):
     return found
 
 
+def direct_residue_witnesses(k, bound):
+    """Map each target <= bound to the list of (i, m, sign) that take it,
+    one per i <= k/2 with a ``direct_form_witnesses`` entry."""
+    found = {}
+    for i in range(1, k // 2 + 1):
+        for t, w in direct_form_witnesses(k, i, bound).items():
+            found.setdefault(t, []).append((i, *w))
+    return found
+
+
+def residue(k, target):
+    """The residue i whose form takes the target, or None."""
+    hit = _residue_witness(k, target)
+    return hit and hit[0]
+
+
 def test_form_witness_examples():
-    assert form_witness(5, 1, 26) == (2, +1)  # 5*4 + 2*3
-    assert form_witness(5, 1, 2) == (1, -1)  # 5 - 3
-    assert form_witness(5, 1, 52) is None  # 52 = 4*13 escapes the form
-    assert form_witness(4, 1, 30) == (3, -1)  # 4*9 - 3*2
-    assert form_witness(4, 2, 16) == (2, -1)  # i = k/2: both signs, minus wins
-    assert form_witness(4, 2, 12) is None  # 4 + 4*12 = 52 is no square
-
-
-def test_form_witness_validation():
-    with pytest.raises(ParameterError):
-        form_witness(5, 1, 0)
-    with pytest.raises(ParameterError):
-        form_witness(5, 4, 10)
+    assert _residue_witness(5, 26) == (1, 2, +1)  # 5*4 + 2*3
+    assert _residue_witness(5, 2) == (1, 1, -1)  # 5 - 3
+    assert _residue_witness(5, 42) == (2, 3, -1)  # 5*9 - 3*1
+    assert _residue_witness(5, 52) is None  # 52 = 4*13 escapes both forms
+    assert _residue_witness(4, 30) == (1, 3, -1)  # 4*9 - 3*2
+    assert _residue_witness(4, 16) == (2, 2, -1)  # i = k/2: both signs, minus wins
+    assert _residue_witness(4, 12) == (1, 2, -1)  # 4*4 - 2*2, not 4 m^2
+    assert _residue_witness(4, 10) is None
 
 
 @given(st.integers(3, 12), st.data(), st.integers(1, 400))
 @settings(max_examples=80, deadline=None)
 def test_form_witness_matches_direct_evaluation(k, data, target):
+    # the hit counts for i only when its residue is i, as in the
+    # exclusion scan and single-mode precondition
     i = data.draw(st.integers(1, k // 2))
-    assert form_witness(k, i, target) == direct_form_witnesses(k, i, target).get(target)
+    hit = _residue_witness(k, target)
+    expected = direct_form_witnesses(k, i, target).get(target)
+    assert (hit[1:] if hit and hit[0] == i else None) == expected
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_residue_witness_matches_direct_evaluation(k):
+    # every target up to the bound: at most one (i, m, sign) takes it,
+    # and _residue_witness returns that one or None
+    bound = 3000
+    direct = direct_residue_witnesses(k, bound)
+    for t in range(1, bound + 1):
+        hits = direct.get(t, [])
+        assert len(hits) <= 1, (t, hits)
+        assert _residue_witness(k, t) == (hits[0] if hits else None), t
+    found = {hit for (hit,) in direct.values()}
+    assert {sign for _, _, sign in found} == {-1, +1}
+    # at i = k/2 both signs coincide and minus is reported
+    middle = {sign for i, _, sign in found if 2 * i == k}
+    assert middle == ({-1} if k % 2 == 0 else set())
+    assert len(direct) < bound  # some targets no residue takes
 
 
 @pytest.mark.parametrize(
     "p,ell", [(5, 4), (7, 7), (11, 10), (13, 4), (17, 13), (19, 7)]
 )
 def test_even_exclusion_examples(p, ell):
-    assert form_witness(p, 1, ell * (3 * ell + 1)) is None
+    assert residue(p, ell * (3 * ell + 1)) != 1
     assert ell not in exclusion_counterexamples(p, ell, "even")
 
 
@@ -303,7 +335,7 @@ def test_even_exclusion_examples(p, ell):
     "p,ell", [(5, 2), (7, 5), (13, 8), (11, 2), (17, 11), (19, 14)]
 )
 def test_odd_exclusion_examples(p, ell):
-    assert form_witness(p, 1, ell * (3 * ell - 1)) is None
+    assert residue(p, ell * (3 * ell - 1)) != 1
     assert ell not in exclusion_counterexamples(p, ell, "odd")
 
 
@@ -329,15 +361,15 @@ def test_exclusion_batch_empty(p):
 def test_exclusion_targets_match_direct_evaluation():
     # the targets l(3l +- 1), l <= 40, against every admissible (k, i)
     # with k <= 16: some are form values (strict mode refuses l = 9 for
-    # (5, 2)), and form_witness must find exactly those, with their m
+    # (5, 2)), and _residue_witness must find exactly those, with their
+    # i and m
     hits = 0
     for k in range(3, 17):
-        for i in range(1, k // 2 + 1):
-            direct = direct_form_witnesses(k, i, 40 * 121)
-            for ell in range(2, 41):
-                for t in (ell * (3 * ell + 1), ell * (3 * ell - 1)):
-                    assert form_witness(k, i, t) == direct.get(t)
-                    hits += t in direct
+        direct = direct_residue_witnesses(k, 40 * 121)
+        for ell in range(2, 41):
+            for t in (ell * (3 * ell + 1), ell * (3 * ell - 1)):
+                assert [_residue_witness(k, t)] == direct.get(t, [None])
+                hits += t in direct
     assert hits > 0
     for p in (5, 7):
         direct = direct_form_witnesses(p, 1, 100 * 301)
@@ -441,12 +473,20 @@ def test_witness_strict_mode():
 
 def residue_walk(k, target):
     """The strict precondition as a walk over the residues: the smallest
-    i <= k/2 whose form takes the target, with form_witness's (m, sign).
+    i <= k/2 whose form takes the target, as (i, m, sign), minus first.
+    With d = k - 2i, both signs solve to m = (r -+ d) / 2k where
+    r^2 = d^2 + 4 k T, one integer square root per i.
     T >= k m^2 - m(k-2i) >= 2im, so no i above T/2 can take it."""
     for i in range(1, min(k // 2, target // 2) + 1):
-        w = form_witness(k, i, target)
-        if w is not None:
-            return i, *w
+        d = k - 2 * i
+        disc = d * d + 4 * k * target
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for sign in (-1, +1):
+            m, rest = divmod(r - sign * d, 2 * k)
+            if not rest:
+                return i, m, sign
     return None
 
 
@@ -496,14 +536,15 @@ def test_at_most_one_residue_takes_a_target():
     # for that one, and single mode refuses only when it is params.i
     taken = 0
     for k in range(3, 17):
+        direct = direct_residue_witnesses(k, 1000)
         for t in range(1, 1001):
-            hits = [(i, *w) for i in range(1, k // 2 + 1) if (w := form_witness(k, i, t))]
+            hits = direct.get(t, [])
             assert len(hits) <= 1
             assert _residue_witness(k, t) == (hits[0] if hits else None)
             for i in range(1, k // 2 + 1):
-                w = form_witness(k, i, t)
+                own = hits[0] if hits and hits[0][0] == i else None
                 params = SingularParams(k, i)
-                assert refusal(params, t, "single") == refusal_text(t, k, w and (i, *w))
+                assert refusal(params, t, "single") == refusal_text(t, k, own)
                 assert refusal(params, t, "strict") == refusal_text(t, k, hits[0] if hits else None)
             taken += bool(hits)
     assert taken > 1000
