@@ -123,25 +123,25 @@ def exclusions(p: int, ell_max: int) -> list[dict]:
     ]
 
 
-def intervals(p: int, ell_max: int, mode: str) -> list[dict]:
+def intervals(p: int, ell_max: int) -> list[dict]:
     """The even and odd interval witnesses of C-bar_{p,1} for l <= ell_max.
 
-    An l whose target lies on the form for a residue the mode tests is
-    outside the guarantee: it is skipped, not failed. A check that
-    checked no l does not pass.
+    An l whose target lies on the form for i = 1 is outside the
+    guarantee: it is skipped, not failed. For a prime p the exclusions
+    leave no such l. A check that checked no l does not pass.
     """
     parity._require_prime(p)
     params = SingularParams(p, 1)
     table = tables.parity_table(params, ell_max * (3 * ell_max + 1) // 2)
     results = []
-    for variant, start, finder in (
-        ("even", 4, parity.find_even_in_interval),
-        ("odd", 2, parity.find_odd_in_interval),
+    for variant, finder in (
+        ("even", parity.find_even_in_interval),
+        ("odd", parity.find_odd_in_interval),
     ):
         found, failures, skipped = [], [], []
-        for ell in range(start, ell_max + 1, 3):
+        for ell in range(parity.FIRST_ELL[variant], ell_max + 1, 3):
             try:
-                w = finder(params, ell, table, mode)
+                w = finder(params, ell, table)
             except PreconditionError:
                 skipped.append(ell)
             except SingoverError as exc:
@@ -176,7 +176,7 @@ def all_suites() -> list[dict]:
     results += special_forms(k=1, n_max=200)
     results += parity_facts(n_max=400)
     results += exclusions(p=5, ell_max=500)
-    results += intervals(p=5, ell_max=13, mode="single")
+    results += intervals(p=5, ell_max=13)
     return results
 
 
@@ -192,8 +192,8 @@ SUITES = {
     "special-forms": Suite(special_forms, ("n_max", 0, CAP_EXACT)),
     "parity-facts": Suite(parity_facts, ("n_max", 1, CAP_PARITY)),
     "lemma1": Suite(lemma1, ("n_max", 1, CAP_EXACT)),
-    # the even checks start at l = 4
-    "exclusions": Suite(exclusions, ("ell_max", 4, CAP_EXCLUSIONS)),
-    "intervals": Suite(intervals, ("ell_max", 4, CAP_INTERVALS)),
+    # the even checks start at their first l, 4
+    "exclusions": Suite(exclusions, ("ell_max", parity.FIRST_ELL["even"], CAP_EXCLUSIONS)),
+    "intervals": Suite(intervals, ("ell_max", parity.FIRST_ELL["even"], CAP_INTERVALS)),
     "all": Suite(all_suites, None),
 }

@@ -18,6 +18,7 @@ from . import checks, distribution, tables
 from .checks import CAP_EXACT, CAP_PARITY
 from .errors import DiscrepancyError, ParameterError, SingoverError
 from .params import SingularParams
+from .parity import FIRST_ELL
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +161,12 @@ def _emit_density(report, fmt, out) -> None:
 
 
 def cmd_density(args, out) -> int:
-    if not 1 <= args.x <= CAP_PARITY:
-        raise ParameterError(f"--x must be in [1, {CAP_PARITY}]")
+    # X below the even sequence's first term has no witness sequence
+    least = FIRST_ELL["even"]
+    if not least <= args.x <= CAP_PARITY:
+        raise ParameterError(f"--x must be in [{least}, {CAP_PARITY}]")
     try:
-        report = distribution.parity_census(
-            args.p, args.x, seed_even=args.seed_even, seed_odd=args.seed_odd
-        )
+        report = distribution.parity_census(args.p, args.x)
     except DiscrepancyError as exc:
         if exc.payload is not None:
             _emit_density(exc.payload, args.fmt, out)
@@ -209,16 +210,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=int, default=5)
     p_verify.add_argument("--n-max", type=int, default=200)
     p_verify.add_argument("--ell-max", type=int, default=20)
-    p_verify.add_argument("--mode", choices=("single", "strict"), default="single")
     add_fmt(p_verify)
 
     p_density = sub.add_parser(
-        "density", help=f"exact parity census of C-bar_{{p,1}}(1..X) (X <= {CAP_PARITY})"
+        "density",
+        help=f"exact parity census of C-bar_{{p,1}}(1..X) "
+        f"({FIRST_ELL['even']} <= X <= {CAP_PARITY})",
     )
     p_density.add_argument("--p", type=int, required=True)
     p_density.add_argument("--x", type=int, required=True)
-    p_density.add_argument("--seed-even", type=int, default=4)
-    p_density.add_argument("--seed-odd", type=int, default=2)
     add_fmt(p_density)
 
     return parser

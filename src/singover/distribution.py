@@ -15,14 +15,17 @@ from dataclasses import dataclass
 from . import tables
 from .errors import DiscrepancyError, ParameterError
 from .params import SingularParams
-from .parity import ParityWitness, _require_prime, _scan_interval
+from .parity import (
+    FIRST_ELL,
+    ParityWitness,
+    _require_prime,
+    find_even_in_interval,
+    find_odd_in_interval,
+)
 
-_VARIANTS = ("even", "odd")
 # Index of the first term: the even variant is written a_0, a_1, ...,
 # the odd variant a_1, a_2, ...
 _START_INDEX = {"even": 0, "odd": 1}
-_SEED_RESIDUE = {"even": 1, "odd": 2}
-DEFAULT_SEEDS = {"even": 4, "odd": 2}
 
 
 def next_term(variant: str, a: int) -> int:
@@ -92,12 +95,12 @@ class WitnessSequence:
 
 
 def _check_seed(variant: str, seed: int) -> None:
-    if variant not in _VARIANTS:
+    if variant not in FIRST_ELL:
         raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
-    if seed < 2 or seed % 3 != _SEED_RESIDUE[variant]:
+    if seed < 2 or seed % 3 != FIRST_ELL[variant] % 3:
         raise ParameterError(
             f"{variant} variant needs a seed >= 2 with seed = "
-            f"{_SEED_RESIDUE[variant]} mod 3, got {seed}"
+            f"{FIRST_ELL[variant] % 3} mod 3, got {seed}"
         )
 
 
@@ -136,25 +139,22 @@ class DensityReport:
     odd_dominates: bool
 
 
-def parity_census(
-    p: int,
-    cutoff: int,
-    seed_even: int = DEFAULT_SEEDS["even"],
-    seed_odd: int = DEFAULT_SEEDS["odd"],
-) -> DensityReport:
+def parity_census(p: int, cutoff: int) -> DensityReport:
     """Count even and odd values of C-bar_{p,1}(n) for 1 <= n <= X.
 
-    p, X and the seeds are checked before the parity table, which costs
-    O(X), is built. Both counts must dominate the floor(nu/2) bound
-    coming from their witness sequence; a violation raises
+    Both counts must dominate the floor(nu/2) bound coming from their
+    witness sequence, which starts at the variant's first l, 4 (even)
+    and 2 (odd). The recurrence increases, so these smallest seeds give
+    the largest floors. p and X >= 4 are checked before the parity
+    table, which costs O(X), is built; a violation of a floor raises
     DiscrepancyError carrying the failing report.
     """
     params = SingularParams(p, 1)
     _require_prime(p)
-    if cutoff < 1:
-        raise ParameterError(f"X must be >= 1, got {cutoff}")
-    nu_even = build_sequence("even", seed_even, cutoff).nu
-    nu_odd = build_sequence("odd", seed_odd, cutoff).nu
+    if cutoff < FIRST_ELL["even"]:
+        raise ParameterError(f"X must be >= {FIRST_ELL['even']}, got {cutoff}")
+    nu_even = build_sequence("even", FIRST_ELL["even"], cutoff).nu
+    nu_odd = build_sequence("odd", FIRST_ELL["odd"], cutoff).nu
     odd_count = tables.parity_table(params, cutoff).window(1, cutoff).bit_count()
     even_count = cutoff - odd_count
     report = DensityReport(
@@ -191,17 +191,17 @@ def interval_cover_check(
     variant [2 a_j - 1, a_{j+1}] for odd values, for every term at or
     below the cutoff. Only intervals the table covers in full carry the
     guarantee, so the first interval whose upper end lies past the
-    table ends the walk. Every searched interval must yield a witness.
+    table ends the walk. Each interval is the interval finder's for
+    l = a_j, precondition included, and must yield a witness.
     """
     _check_seed(variant, seed)
+    finder = find_even_in_interval if variant == "even" else find_odd_in_interval
     witnesses = []
     a = seed
     while a <= cutoff:
         nxt = next_term(variant, a)
         if nxt > table.trunc_degree:
             break
-        lo = a if variant == "even" else 2 * a - 1
-        want_bit = 0 if variant == "even" else 1
-        witnesses.append(_scan_interval(params, table, lo, nxt, want_bit, a, variant))
+        witnesses.append(finder(params, a, table))
         a = next_term(variant, nxt) if variant == "even" else nxt
     return witnesses

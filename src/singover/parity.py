@@ -20,8 +20,10 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   precondition of the interval finders below.
 * ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
-  Their precondition asks ``_residue_witness`` which residue i, if
-  any, has a form that takes the target; at most one does.
+  Their precondition refuses an l only when ``_residue_witness`` finds
+  the target on the form of the caller's own i.
+* ``FIRST_ELL`` holds the first l of each variant, where the exclusion
+  scan, the interval checks and the witness sequences start.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -43,6 +45,10 @@ from .errors import (
     TableTooShortError,
 )
 from .params import SingularParams
+
+# The smallest l >= 2 in each variant's class mod 3 (l = 1 for even,
+# l = 2 for odd), the classes where the p-exclusions hold.
+FIRST_ELL = {"even": 4, "odd": 2}
 
 
 def exceptional_set(params: SingularParams, bound: int) -> dict[int, tuple]:
@@ -167,18 +173,15 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     empty list; each l costs one integer square root in
     ``_residue_witness``, and a hit counts only at residue i = 1.
     """
-    if variant == "even":
-        start, sign = 4, +1  # smallest l >= 2 with l = 1 mod 3
-    elif variant == "odd":
-        start, sign = 2, -1
-    else:
+    if variant not in FIRST_ELL:
         raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
+    sign = 1 if variant == "even" else -1
     _require_prime(p)
     if ell_max < 2:
         raise ParameterError(f"ell_max must be >= 2, got {ell_max}")
     return [
         l
-        for l in range(start, ell_max + 1, 3)
+        for l in range(FIRST_ELL[variant], ell_max + 1, 3)
         if (hit := _residue_witness(p, l * (3 * l + sign))) and hit[0] == 1
     ]
 
@@ -212,43 +215,37 @@ def _scan_interval(params, table, lo, hi, want_bit, ell, label) -> ParityWitness
     )
 
 
-def _require_excluded(params: SingularParams, target: int, mode: str) -> None:
-    if mode not in ("single", "strict"):
-        raise ParameterError(f"mode must be 'single' or 'strict', got {mode!r}")
+def _require_excluded(params: SingularParams, target: int) -> None:
     hit = _residue_witness(params.k, target)
-    if hit is None or mode == "single" and hit[0] != params.i:
+    if hit is None or hit[0] != params.i:
         return
-    i, m, sign = hit
+    _, m, sign = hit
     raise PreconditionError(
         f"{target} = k m^2 {'+' if sign > 0 else '-'} m(k-2i) for "
-        f"(k, i, m) = ({params.k}, {i}, {m}); the interval "
+        f"(k, i, m) = ({params.k}, {params.i}, {m}); the interval "
         "guarantee does not apply"
     )
 
 
-def find_even_in_interval(
-    params: SingularParams, ell: int, table, mode: str = "single"
-) -> ParityWitness:
+def find_even_in_interval(params: SingularParams, ell: int, table) -> ParityWitness:
     """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0.
 
-    Requires l(3l+1) to avoid the quadratic form (checked here, for
-    params.i in "single" mode or every i <= k/2 in "strict" mode).
+    Requires l(3l+1) to avoid the quadratic form of params.i (checked
+    here); the form of another residue does not touch the guarantee.
     Existence is then guaranteed; an exhausted interval raises
     DiscrepancyError.
     """
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
     t = ell * (3 * ell + 1)
-    _require_excluded(params, t, mode)
+    _require_excluded(params, t)
     return _scan_interval(params, table, ell, t // 2, 0, ell, "even")
 
 
-def find_odd_in_interval(
-    params: SingularParams, ell: int, table, mode: str = "single"
-) -> ParityWitness:
+def find_odd_in_interval(params: SingularParams, ell: int, table) -> ParityWitness:
     """Smallest n in [2l-1, l(3l-1)/2] whose bit in the parity table is 1."""
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
     t = ell * (3 * ell - 1)
-    _require_excluded(params, t, mode)
+    _require_excluded(params, t)
     return _scan_interval(params, table, 2 * ell - 1, t // 2, 1, ell, "odd")

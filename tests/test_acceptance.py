@@ -123,7 +123,7 @@ def test_c08_interval_witnesses():
     top = 80 * (3 * 80 + 1) // 2  # covers every interval for l <= 80
     bad = []
     for p in PRIMES_INTERVALS:
-        even, odd = checks.intervals(p=p, ell_max=80, mode="single")
+        even, odd = checks.intervals(p=p, ell_max=80)
         bad += failed([even, odd])
         # every l has a witness, and each has its parity in the exact table
         exact = coefficients_theta(SingularParams(p, 1), top).coeffs

@@ -385,7 +385,7 @@ def test_an_option_a_suite_does_not_read_is_not_checked(capsys):
 @pytest.mark.parametrize(
     "argv,config",
     [
-        (["--suite", "intervals", "--ell-max", "10"], {"p": 5, "ell_max": 10, "mode": "single"}),
+        (["--suite", "intervals", "--ell-max", "10"], {"p": 5, "ell_max": 10}),
         (["--suite", "lemma1", "--k", "4", "--i", "2", "--n-max", "30"], {"k": 4, "i": 2, "n_max": 30}),
         (
             ["--suite", "oracle", "--k", "5", "--i", "1", "--n-max", "8"],
@@ -436,17 +436,27 @@ def test_verify_total_counts_go_past_the_first_ten(capsys, monkeypatch):
     assert per_n["detail"] == {"failures": list(range(1, 11)), "failure_count": 15}
 
 
-@pytest.mark.parametrize(
-    "p,even_skipped,odd_skipped", [(7, [], [2]), (13, [10], [2, 5, 14])]
-)
-def test_verify_intervals_strict_skips_what_the_theorem_does_not_cover(
-    capsys, p, even_skipped, odd_skipped
+def claim_targets(monkeypatch, even_ells=(), odd_ells=()):
+    """Make the form solver place the targets of these l on the form for
+    i = 1. No l of a prime p lies there, so only this reaches the skips."""
+    claimed = {l * (3 * l + 1) for l in even_ells} | {l * (3 * l - 1) for l in odd_ells}
+    real = checks.parity._residue_witness
+    monkeypatch.setattr(
+        checks.parity,
+        "_residue_witness",
+        lambda k, t: (1, 1, -1) if t in claimed else real(k, t),
+    )
+
+
+@pytest.mark.parametrize("even_skipped,odd_skipped", [([], [2]), ([10], [2, 5, 14])])
+def test_verify_intervals_skips_what_the_theorem_does_not_cover(
+    capsys, monkeypatch, even_skipped, odd_skipped
 ):
-    # an l whose target hits the form for another residue i is outside
-    # the guarantee: it is skipped and counted, and the check still passes
+    # an l whose target lies on the form for i = 1 is outside the
+    # guarantee: it is skipped and counted, and the check still passes
+    claim_targets(monkeypatch, even_skipped, odd_skipped)
     code, out, _ = run_cli(
-        ["verify", "--suite", "intervals", "--p", str(p), "--ell-max", "20", "--mode", "strict"],
-        capsys,
+        ["verify", "--suite", "intervals", "--p", "13", "--ell-max", "20"], capsys
     )
     assert code == 0
     even, odd = json.loads(out)["checks"]
@@ -458,11 +468,11 @@ def test_verify_intervals_strict_skips_what_the_theorem_does_not_cover(
         assert sorted(witnessed + skipped) == list(range(start, 21, 3))
 
 
-def test_verify_intervals_check_with_every_l_skipped_fails(capsys):
-    # p = 7, strict: the only odd l <= 4 is 2, which is skipped
+def test_verify_intervals_check_with_every_l_skipped_fails(capsys, monkeypatch):
+    # the only odd l <= 4 is 2, and its target is made to lie on the form
+    claim_targets(monkeypatch, odd_ells=[2])
     code, out, _ = run_cli(
-        ["verify", "--suite", "intervals", "--p", "7", "--ell-max", "4", "--mode", "strict"],
-        capsys,
+        ["verify", "--suite", "intervals", "--p", "7", "--ell-max", "4"], capsys
     )
     assert code == 1
     even, odd = json.loads(out)["checks"]
@@ -481,20 +491,19 @@ def test_verify_intervals_rejects_composite_p(capsys, p):
     assert out == ""
 
 
-def test_verify_intervals_strict_memory_does_not_grow_with_p(capsys):
-    # strict mode keeps no list of the residues i <= p/2; ell = 2's
-    # target 10 = p - (p - 10) is taken by i = 5 with m = 1
+def test_verify_intervals_memory_does_not_grow_with_p(capsys):
+    # the precondition keeps no list of the residues i <= p/2; ell = 2's
+    # target 10 = p - (p - 10) lies on the form of i = 5, not of i = 1
     tracemalloc.start()
     try:
         code, out, _ = run_cli(
-            ["verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "4",
-             "--mode", "strict"],
-            capsys,
+            ["verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "4"], capsys
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 1 and json.loads(out)["checks"][1]["detail"]["skipped"] == [2]
+    assert code == 0
+    assert [c["detail"]["skipped_count"] for c in json.loads(out)["checks"]] == [0, 0]
     assert peak < 1_000_000
 
 
@@ -533,7 +542,7 @@ def test_verify_intervals_at_the_cap(capsys):
 
 def test_density_at_the_parity_cap(capsys):
     code, out, err = run_cli(["density", "--p", "5", "--x", "1000001"], capsys)
-    assert code == 2 and "--x must be in [1, 1000000]" in err
+    assert code == 2 and "--x must be in [4, 1000000]" in err
     assert out == ""
     code, out, _ = run_cli(["density", "--p", "5", "--x", "1000000"], capsys)
     assert code == 0
@@ -541,6 +550,18 @@ def test_density_at_the_parity_cap(capsys):
     assert payload["X"] == 1_000_000
     assert payload["even_count"] + payload["odd_count"] == 1_000_000
     assert payload["even_dominates"] and payload["odd_dominates"]
+
+
+def test_density_below_the_first_even_term_exits_2(capsys):
+    # X = 3 lies below the even sequence's first term 4: one check in the
+    # command refuses it and states the range
+    code, out, err = run_cli(["density", "--p", "5", "--x", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "parameter error: --x must be in [4, 1000000]\n"
+    code, out, _ = run_cli(["density", "--p", "5", "--x", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["nu_even"], payload["nu_odd"]) == (0, 1)
 
 
 def test_verify_exclusions_cap_exits_2(capsys):

@@ -124,9 +124,7 @@ def test_census_validation(monkeypatch):
         (9, 10, {}),
         (25, 10, {}),
         (5, 0, {}),
-        (5, 10**6, {"seed_even": 5}),
-        (5, 10**6, {"seed_odd": 3}),
-        (5, 3, {"seed_even": 4}),
+        (5, 3, {}),  # below the even sequence's first term 4
     ],
 )
 def test_census_validates_its_input_before_building_the_table(monkeypatch, p, cutoff, seeds):

@@ -58,17 +58,14 @@ REQUESTS = [
     ("verify", "--suite", "lemma1", "--k", "13", "--i", "1", "--n-max", "2875"),
     ("verify", "--suite", "lemma1", "--k", "13", "--i", "6", "--n-max", "300", "--format", "csv"),
     *_formats("verify", "--suite", "exclusions", "--p", "7", "--ell-max", "400"),
-    *_formats("verify", "--suite", "intervals", "--p", "13", "--ell-max", "40", "--mode", "strict"),
     *_formats("verify", "--suite", "intervals", "--p", "13", "--ell-max", "40"),
     ("verify", "--suite", "intervals", "--p", "5", "--ell-max", "120"),
     ("verify", "--suite", "intervals", "--p", "47", "--ell-max", "257"),
-    ("verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "20", "--mode", "strict"),
     ("verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "20"),
     *_formats("verify", "--suite", "all"),
     *_formats("density", "--p", "5", "--x", "5000"),
     ("density", "--p", "7", "--x", "100000"),
     # refused values
-    ("density", "--p", "13", "--x", "1", "--seed-even", "7"),
     ("density", "--p", "13", "--x", "3"),
     ("density", "--p", "9", "--x", "100"),
     ("verify", "--suite", "lemma1", "--k", "5", "--i", "1", "--n-max", "0"),
@@ -77,6 +74,9 @@ REQUESTS = [
     ("compute", "--k", "3", "--i", "1"),
     ("verify", "--suite", "nonesuch"),
     ("density", "--p", "5", "--x", "ten"),
+    # options that were deleted
+    ("verify", "--suite", "intervals", "--p", "5", "--ell-max", "20", "--mode", "strict"),
+    ("density", "--p", "5", "--x", "100", "--seed-even", "7"),
 ]
 
 

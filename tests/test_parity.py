@@ -18,6 +18,7 @@ from singover.errors import (
 )
 from singover.params import SingularParams
 from singover.parity import (
+    FIRST_ELL,
     ParityWitness,
     convolution_mismatches,
     convolution_parity_check,
@@ -298,7 +299,7 @@ def test_form_witness_examples():
 @settings(max_examples=80, deadline=None)
 def test_form_witness_matches_direct_evaluation(k, data, target):
     # the hit counts for i only when its residue is i, as in the
-    # exclusion scan and single-mode precondition
+    # exclusion scan and the interval precondition
     i = data.draw(st.integers(1, k // 2))
     hit = _residue_witness(k, target)
     expected = direct_form_witnesses(k, i, target).get(target)
@@ -360,9 +361,9 @@ def test_exclusion_batch_empty(p):
 
 def test_exclusion_targets_match_direct_evaluation():
     # the targets l(3l +- 1), l <= 40, against every admissible (k, i)
-    # with k <= 16: some are form values (strict mode refuses l = 9 for
-    # (5, 2)), and _residue_witness must find exactly those, with their
-    # i and m
+    # with k <= 16: some are form values (l = 9's target 252 lies on the
+    # form of (5, 2)), and _residue_witness must find exactly those, with
+    # their i and m
     hits = 0
     for k in range(3, 17):
         direct = direct_residue_witnesses(k, 40 * 121)
@@ -461,19 +462,18 @@ def test_witness_precondition_gate():
         find_even_in_interval(params, 3, table)
 
 
-def test_witness_strict_mode():
+def test_witness_precondition_asks_only_its_own_residue():
     # l = 9: 252 avoids the i=1 form but 252 = 5*7^2 + 7 hits i = 2
-    # (where k-2i = 1), so strict mode refuses while single accepts
+    # (where k-2i = 1); the guarantee for i = 1 still holds
     params = SingularParams(5, 1)
     table = parity_table(params, 9 * 28 // 2)
-    assert find_even_in_interval(params, 9, table, mode="single").parity == "even"
-    with pytest.raises(PreconditionError):
-        find_even_in_interval(params, 9, table, mode="strict")
+    assert _residue_witness(5, 252) == (2, 7, +1)
+    assert find_even_in_interval(params, 9, table).parity == "even"
 
 
 def residue_walk(k, target):
-    """The strict precondition as a walk over the residues: the smallest
-    i <= k/2 whose form takes the target, as (i, m, sign), minus first.
+    """_residue_witness as a walk over the residues: the smallest i <= k/2
+    whose form takes the target, as (i, m, sign), minus first.
     With d = k - 2i, both signs solve to m = (r -+ d) / 2k where
     r^2 = d^2 + 4 k T, one integer square root per i.
     T >= k m^2 - m(k-2i) >= 2im, so no i above T/2 can take it."""
@@ -490,10 +490,10 @@ def residue_walk(k, target):
     return None
 
 
-def refusal(params, target, mode):
+def refusal(params, target):
     """The PreconditionError text for the target, or None if it passes."""
     try:
-        _require_excluded(params, target, mode)
+        _require_excluded(params, target)
     except PreconditionError as exc:
         return str(exc)
     return None
@@ -515,25 +515,25 @@ def refusal_text(target, k, hit):
     "p,ell_max", [(5, 120), (7, 120), (11, 120), (13, 120), (17, 120), (10000019, 60)]
 )
 def test_strict_precondition_matches_the_residue_walk(p, ell_max):
-    # every target l(3l +- 1) with l <= ell_max: the same l are skipped,
-    # with the same (k, i, m) in the message, and the report lists them
-    params = SingularParams(p, 1)
+    # every target l(3l +- 1) with l <= ell_max: the solver finds the
+    # residue the walk finds, and the report skips the l of residue 1
+    # (none, by the exclusions)
     skipped = {"even": [], "odd": []}
     for ell in range(2, ell_max + 1):
         for variant, t in (("even", ell * (3 * ell + 1)), ("odd", ell * (3 * ell - 1))):
             hit = residue_walk(p, t)
-            assert refusal(params, t, "strict") == refusal_text(t, p, hit)
-            if hit and ell % 3 == (1 if variant == "even" else 2):
+            assert _residue_witness(p, t) == hit
+            if hit and hit[0] == 1 and ell % 3 == FIRST_ELL[variant] % 3:
                 skipped[variant].append(ell)
-    for check, variant in zip(checks.intervals(p, ell_max, "strict"), ("even", "odd")):
+    for check, variant in zip(checks.intervals(p, ell_max), ("even", "odd")):
         assert check["detail"]["skipped"] == skipped[variant][:10]
         assert check["detail"]["skipped_count"] == len(skipped[variant])
 
 
 def test_at_most_one_residue_takes_a_target():
     # the ranges [k m^2 - (k-2)m, k m^2 + (k-2)m] are disjoint for
-    # distinct m, so at most one (i, m) takes a target; both modes ask
-    # for that one, and single mode refuses only when it is params.i
+    # distinct m, so at most one (i, m) takes a target; the precondition
+    # asks for that one, and refuses only when it is params.i
     taken = 0
     for k in range(3, 17):
         direct = direct_residue_witnesses(k, 1000)
@@ -544,20 +544,19 @@ def test_at_most_one_residue_takes_a_target():
             for i in range(1, k // 2 + 1):
                 own = hits[0] if hits and hits[0][0] == i else None
                 params = SingularParams(k, i)
-                assert refusal(params, t, "single") == refusal_text(t, k, own)
-                assert refusal(params, t, "strict") == refusal_text(t, k, hits[0] if hits else None)
+                assert refusal(params, t) == refusal_text(t, k, own)
             taken += bool(hits)
     assert taken > 1000
 
 
-def test_strict_precondition_at_the_largest_l_is_fast():
+def test_precondition_at_the_largest_l_is_fast():
     # two candidate m per target, not one root per residue i <= k/2
     start = time.perf_counter()
-    even, odd = checks.intervals(10000019, checks.CAP_INTERVALS, "strict")
+    even, odd = checks.intervals(10000019, checks.CAP_INTERVALS)
     assert time.perf_counter() - start < 2.0
     assert checks.CAP_INTERVALS == 816
-    assert even["detail"]["skipped_count"] == 271  # l = 4, 7, ..., 814
-    assert odd["detail"]["skipped_count"] == 272  # l = 2, 5, ..., 815
+    assert even["detail"]["skipped_count"] == odd["detail"]["skipped_count"] == 0
+    assert even["passed"] and odd["passed"]
 
 
 def test_witness_table_too_short():
