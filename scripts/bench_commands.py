@@ -2,7 +2,7 @@
 """Time the command table of ROADMAP item 1, each command in-process.
 
 Each command runs through ``singover.cli.main`` with stdout captured
-and every table store cleared before each run. The commands run
+and the theta table store cleared before each run. The commands run
 round-robin: each of --repeat passes runs every command once, in table
 order, so a slow stretch of a shared host spreads over every row
 instead of landing on one. The time kept is a command's best pass.
@@ -44,7 +44,7 @@ COMMANDS = [
 
 
 def run_once(argv):
-    """Seconds and stdout of one run of ``cli.main(argv)`` from empty stores."""
+    """Seconds and stdout of one run of ``cli.main(argv)`` from an empty store."""
     tables.clear_caches()
     out = io.StringIO()
     start = time.perf_counter()

@@ -198,18 +198,19 @@ class ParityWitness:
     ell: int
 
 
-def _scan_interval(params, table, lo, hi, want_bit, ell, label) -> ParityWitness:
+def _scan_interval(params, table, lo, hi, want_bit, ell) -> ParityWitness:
     """The smallest n in [lo, hi] with table parity want_bit, read as one
     window of bits: the lowest set bit of the window (odd) or of its
     complement (even)."""
     found = table.window(lo, hi)
     if not want_bit:
         found ^= (1 << (hi - lo + 1)) - 1
+    parity = "odd" if want_bit else "even"
     if found:
         n = lo + (found & -found).bit_length() - 1
-        return ParityWitness(params, n, "odd" if want_bit else "even", lo, hi, ell)
+        return ParityWitness(params, n, parity, lo, hi, ell)
     raise DiscrepancyError(
-        f"no {label} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
+        f"no {parity} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
         f"(l = {ell}); this contradicts a proven statement",
         payload={"params": (params.k, params.i), "lo": lo, "hi": hi, "ell": ell},
     )
@@ -239,7 +240,7 @@ def find_even_in_interval(params: SingularParams, ell: int, table) -> ParityWitn
         raise ParameterError(f"l must be >= 2, got {ell}")
     t = ell * (3 * ell + 1)
     _require_excluded(params, t)
-    return _scan_interval(params, table, ell, t // 2, 0, ell, "even")
+    return _scan_interval(params, table, ell, t // 2, 0, ell)
 
 
 def find_odd_in_interval(params: SingularParams, ell: int, table) -> ParityWitness:
@@ -248,4 +249,4 @@ def find_odd_in_interval(params: SingularParams, ell: int, table) -> ParityWitne
         raise ParameterError(f"l must be >= 2, got {ell}")
     t = ell * (3 * ell - 1)
     _require_excluded(params, t)
-    return _scan_interval(params, table, 2 * ell - 1, t // 2, 1, ell, "odd")
+    return _scan_interval(params, table, 2 * ell - 1, t // 2, 1, ell)

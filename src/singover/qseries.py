@@ -79,19 +79,17 @@ class TruncSeriesF2:
         self.trunc_degree = trunc_degree
 
     def window(self, lo: int, hi: int) -> int:
-        """Bits of degrees lo..hi packed into one int, degree lo + j at bit j."""
+        """Bits of degrees lo..hi packed into one int, degree lo + j at bit j.
+
+        hi = lo - 1 is the empty window, 0.
+        """
+        if lo < 0 or hi < lo - 1:
+            raise ParameterError(f"window [{lo}, {hi}] needs 0 <= lo <= hi + 1")
         if hi > self.trunc_degree:
             raise TableTooShortError(
                 f"table degree {self.trunc_degree} does not cover the interval [{lo}, {hi}]"
             )
         return (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-    def truncate(self, trunc_degree: int) -> "TruncSeriesF2":
-        if trunc_degree > self.trunc_degree:
-            raise ParameterError(
-                f"cannot extend truncation degree {self.trunc_degree} to {trunc_degree}"
-            )
-        return TruncSeriesF2(self.bits & ((1 << (trunc_degree + 1)) - 1), trunc_degree)
 
     def __eq__(self, other) -> bool:
         return (

@@ -27,12 +27,14 @@ same theta quotient carried out entirely in packed GF(2) arithmetic. Its
 two inputs, the theta numerator and (q;q) mod 2, are built as bits
 straight from ``qseries.form_exponents``, with no integer series.
 
-Each route keeps, per (k, i), the largest table built so far, so the
-parity and distribution layers share one expansion. A smaller request
-is a slice of it; a larger theta table resumes the forward substitution
-from the held degree, while product and parity tables are rebuilt. The
-stores hold at most STORE_BUDGET pairs each and are guarded by one lock
-per store, so the tables can be requested from several threads.
+The theta route keeps, per (k, i), the largest table built so far, so
+a session's exact requests share one expansion. A smaller request is a
+slice of it; a larger one resumes the forward substitution from the
+held degree. The store holds at most STORE_BUDGET pairs and is guarded
+by one lock, so tables can be requested from several threads. Product
+and parity tables are built afresh on every call, since requests
+seldom ask for one twice; the product route also stays apart from the
+theta store, because their agreement is the cross-check.
 
 Edge case: for even k with i = k/2 the residues +i and -i coincide and
 the product formula lists the same overline factor twice. Every route
@@ -52,47 +54,19 @@ from .errors import ParameterError
 from .params import SingularParams
 
 
-# Most (k, i) pairs one route's store holds; past it the least recently
+# Most (k, i) pairs the theta store holds; past it the least recently
 # used pair is dropped.
 STORE_BUDGET = 32
 
-
-class _TableStore:
-    """The largest table built so far for each (k, i) of one route.
-
-    A request at or below the held degree is the held table truncated.
-    A larger one calls ``grow(params, n, held)``, with the held table or
-    None, and the result replaces the held table. At most STORE_BUDGET
-    pairs are held, one table each. One lock serializes every lookup
-    and build, so concurrent callers never see a half-updated store.
-    """
-
-    def __init__(self, grow):
-        self._grow = grow
-        self._held = OrderedDict()  # params -> table, least recently used first
-        self._lock = threading.Lock()
-
-    def get(self, params: SingularParams, trunc_degree: int):
-        if trunc_degree < 0:
-            raise ParameterError("truncation degree must be nonnegative")
-        with self._lock:
-            held = self._held.get(params)
-            if held is not None and trunc_degree <= held.trunc_degree:
-                table = held.truncate(trunc_degree)
-            else:
-                table = self._grow(params, trunc_degree, held)
-                self._held[params] = table
-            self._held.move_to_end(params)
-            if len(self._held) > STORE_BUDGET:
-                self._held.popitem(last=False)
-            return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._held.clear()
+# The largest theta table built so far per (k, i), least recently used
+# first. One lock serializes every lookup and build, so concurrent
+# callers never see a half-updated store.
+_THETA = OrderedDict()
+_THETA_LOCK = threading.Lock()
 
 
-def _grow_product(params, trunc_degree, held) -> qs.TruncSeriesZ:
+def coefficients_product(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
+    """Table from the defining product quotient."""
     k, i = params.k, params.i
     num = list(qs.eta_product(k, trunc_degree).coeffs)
     # At i = k/2 both calls apply the same factors: the formula lists the
@@ -113,28 +87,24 @@ def _grow_theta(params, trunc_degree, held) -> qs.TruncSeriesZ:
     return qs.TruncSeriesZ(coeffs)
 
 
-def _grow_parity(params, trunc_degree, held) -> qs.TruncSeriesF2:
-    theta = qs.form_bits(params.k, params.i, trunc_degree)
-    penta = qs.form_bits(3, 1, trunc_degree)
-    return qs.div_f2(theta, penta)
-
-
-# Product and parity tables are rebuilt at a larger degree: no caller
-# extends them, and a parity table is cheap to rebuild. The product and
-# theta stores stay apart, because their agreement is the cross-check.
-_PRODUCT = _TableStore(_grow_product)
-_THETA = _TableStore(_grow_theta)
-_PARITY = _TableStore(_grow_parity)
-
-
-def coefficients_product(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
-    """Table from the defining product quotient."""
-    return _PRODUCT.get(params, trunc_degree)
-
-
 def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
-    """Table from the theta-numerator quotient (the fast exact route)."""
-    return _THETA.get(params, trunc_degree)
+    """Table from the theta-numerator quotient (the fast exact route).
+
+    A request at or below the held degree is the held table truncated; a
+    larger one extends the held table, or builds afresh, and holds it.
+    """
+    if trunc_degree < 0:
+        raise ParameterError("truncation degree must be nonnegative")
+    with _THETA_LOCK:
+        held = _THETA.get(params)
+        if held is not None and trunc_degree <= held.trunc_degree:
+            table = held.truncate(trunc_degree)
+        else:
+            table = _THETA[params] = _grow_theta(params, trunc_degree, held)
+        _THETA.move_to_end(params)
+        if len(_THETA) > STORE_BUDGET:
+            _THETA.popitem(last=False)
+        return table
 
 
 def parity_table(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesF2:
@@ -143,7 +113,9 @@ def parity_table(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesF2:
     The theta numerator and (q;q) mod 2 are ``qseries.form_bits``, one
     bit per ``form_exponents`` value, with no integer series between.
     """
-    return _PARITY.get(params, trunc_degree)
+    theta = qs.form_bits(params.k, params.i, trunc_degree)
+    penta = qs.form_bits(3, 1, trunc_degree)
+    return qs.div_f2(theta, penta)
 
 
 # Reduced eta-quotients over (q;q), as (modulus multiple, numerator eta
@@ -177,6 +149,6 @@ def special_form(family: str, k: int, trunc_degree: int) -> qs.TruncSeriesZ:
 
 
 def clear_caches() -> None:
-    """Drop every stored table (used by timing measurements)."""
-    for store in (_PRODUCT, _THETA, _PARITY):
-        store.clear()
+    """Drop every stored theta table (used by timing measurements)."""
+    with _THETA_LOCK:
+        _THETA.clear()

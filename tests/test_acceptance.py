@@ -168,8 +168,7 @@ def test_c10_performance():
     packed = parity_table(params, 100_000)
     parity_time = time.perf_counter() - start
 
-    # the parity cap, from empty stores so the table is built, not sliced
-    clear_caches()
+    # the parity cap; parity tables are built on every call
     start = time.perf_counter()
     at_cap = parity_table(params, checks.CAP_PARITY)
     cap_time = time.perf_counter() - start
@@ -178,7 +177,7 @@ def test_c10_performance():
     exact = coefficients_theta(params, 10_000)
     exact_time = time.perf_counter() - start
 
-    # the product store is still empty, so this builds the table too
+    # product tables are built on every call too
     start = time.perf_counter()
     product = coefficients_product(params, 10_000)
     product_time = time.perf_counter() - start

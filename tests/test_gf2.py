@@ -111,14 +111,6 @@ def test_div_f2_matches_exact_quotient(k, i, n):
     assert fast == exact
 
 
-def test_truncate_f2():
-    s = TruncSeriesF2(0b1101, 3)
-    assert tuple(_set_bits(s.truncate(2).bits)) == (0, 2)
-    assert s.truncate(3) == s
-    with pytest.raises(ParameterError):
-        s.truncate(4)
-
-
 def test_window_f2_reads_lo_to_hi_and_refuses_past_the_end():
     s = TruncSeriesF2(0b1011010, 6)
     assert s.window(0, 6) == 0b1011010
@@ -128,6 +120,11 @@ def test_window_f2_reads_lo_to_hi_and_refuses_past_the_end():
     with pytest.raises(TableTooShortError) as exc:
         s.window(3, 7)
     assert str(exc.value) == "table degree 6 does not cover the interval [3, 7]"
+    # a negative start or an end before the empty window is no interval
+    for lo, hi in ((-1, 2), (3, 1)):
+        with pytest.raises(ParameterError) as exc:
+            s.window(lo, hi)
+        assert f"[{lo}, {hi}]" in str(exc.value)
 
 
 # --- parity inputs built from exponent bits -----------------------------------

@@ -595,7 +595,7 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
 
     def scan(odd_degrees, want_bit):
         table = _fabricated(kind, odd_degrees, n_max)
-        return _scan_interval(params, table, lo, hi, want_bit, 4, "x")
+        return _scan_interval(params, table, lo, hi, want_bit, 4)
 
     assert scan({lo}, 1).n == lo
     assert scan({hi}, 1).n == hi
@@ -608,7 +608,7 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
             scan(odd_degrees, want_bit)
         assert exc.value.payload == {"params": (5, 1), "lo": lo, "hi": hi, "ell": 4}
     with pytest.raises(TableTooShortError):
-        _scan_interval(params, _fabricated(kind, every, hi - 1), lo, hi, 1, 4, "x")
+        _scan_interval(params, _fabricated(kind, every, hi - 1), lo, hi, 1, 4)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -624,9 +624,9 @@ def test_interval_scan_matches_a_per_degree_scan(p):
                 expected = _scan_by_degree(table, lo, hi, want_bit)
                 if expected is None:
                     with pytest.raises(DiscrepancyError):
-                        _scan_interval(params, table, lo, hi, want_bit, ell, "x")
+                        _scan_interval(params, table, lo, hi, want_bit, ell)
                 else:
-                    assert _scan_interval(params, table, lo, hi, want_bit, ell, "x").n == expected
+                    assert _scan_interval(params, table, lo, hi, want_bit, ell).n == expected
 
 
 # --- cited parity facts at moderate degree -------------------------------------

@@ -167,28 +167,29 @@ def test_half_k_residue_case():
         assert prod.coeffs[k // 2] == {4: 2, 6: 3, 8: 5}[k] - 1 + 3
 
 
-# --- the per-(k, i) table stores ---------------------------------------------
+# --- the theta store, and the routes built afresh -----------------------------
 
 ROUTES = {
-    "theta": (coefficients_theta, tables._THETA),
-    "product": (coefficients_product, tables._PRODUCT),
-    "parity": (parity_table, tables._PARITY),
+    "theta": coefficients_theta,
+    "product": coefficients_product,
+    "parity": parity_table,
 }
 
 
 def _fresh(route, params, n):
-    """The table a request must return, built without any held table."""
+    """The table a request must return, built from the series layer alone."""
+    k, i = params.k, params.i
     if route == "product":
-        clear_caches()
-        return coefficients_product(params, n).coeffs
-    exact = div(theta_sum(params.k, params.i, n), eta_product(1, n)).coeffs
+        num = mul(mul(eta_product(k, n), pochhammer_neg(i, k, n)), pochhammer_neg(k - i, k, n))
+        return div(num, eta_product(1, n)).coeffs
+    exact = div(theta_sum(k, i, n), eta_product(1, n)).coeffs
     if route == "theta":
         return exact
     return reduce_mod2(TruncSeriesZ(exact)).bits
 
 
 def _served(route, params, n):
-    table = ROUTES[route][0](params, n)
+    table = ROUTES[route](params, n)
     assert table.trunc_degree == n
     return table.bits if route == "parity" else table.coeffs
 
@@ -198,7 +199,7 @@ def _served(route, params, n):
 @settings(deadline=None, max_examples=40)
 def test_store_serves_fresh_tables(route, data):
     # request sequences over two or three pairs, degrees going up, down
-    # and repeating, with the stores sometimes cleared in between
+    # and repeating, with the theta store sometimes cleared in between
     pairs = data.draw(
         st.lists(st.sampled_from(ADMISSIBLE_PARAMS), min_size=1, max_size=3, unique=True)
     )
@@ -227,28 +228,33 @@ def test_store_truncates_and_extends_at_half_k(route):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_store_evicts_least_recently_used(route):
-    build, store = ROUTES[route]
+def test_every_route_refuses_a_negative_degree(route):
+    with pytest.raises(ParameterError):
+        ROUTES[route](SingularParams(5, 1), -1)
+
+
+def test_store_evicts_least_recently_used():
     pairs = [SingularParams(*ki) for ki in ADMISSIBLE_PARAMS[: STORE_BUDGET + 2]]
     clear_caches()
     for params in pairs[:STORE_BUDGET]:
-        build(params, 10)
-    build(pairs[0], 5)  # a use of the oldest pair makes pairs[1] the oldest
-    build(pairs[STORE_BUDGET], 10)
-    held = store._held
+        coefficients_theta(params, 10)
+    coefficients_theta(pairs[0], 5)  # a use of the oldest pair makes pairs[1] the oldest
+    coefficients_theta(pairs[STORE_BUDGET], 10)
+    held = tables._THETA
     assert len(held) == STORE_BUDGET
     assert pairs[0] in held and pairs[1] not in held
-    build(pairs[STORE_BUDGET + 1], 10)
+    coefficients_theta(pairs[STORE_BUDGET + 1], 10)
     assert len(held) == STORE_BUDGET
     assert pairs[2] not in held and pairs[STORE_BUDGET + 1] in held
 
 
 def test_clear_caches_empties_every_store():
-    for build, _ in ROUTES.values():
-        for k, i in ADMISSIBLE_PARAMS[:5]:
-            build(SingularParams(k, i), 40)
     clear_caches()
-    assert all(not store._held for _, store in ROUTES.values())
+    for k, i in ADMISSIBLE_PARAMS[:5]:
+        coefficients_theta(SingularParams(k, i), 40)
+    assert len(tables._THETA) == 5
+    clear_caches()
+    assert not tables._THETA
 
 
 def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
@@ -288,8 +294,9 @@ def test_a_parity_build_calls_one_inverse_and_no_integer_series(monkeypatch, k, 
 
 def test_store_under_concurrent_requests():
     # more threads than cores and more pairs than the budget, so that
-    # builds, truncations and evictions of one store interleave; a lost
-    # or torn update would raise or serve a wrong table
+    # builds, truncations and evictions of the theta store interleave
+    # with product and parity builds; a lost or torn update would raise
+    # or serve a wrong table
     pairs = [SingularParams(*ki) for ki in ADMISSIBLE_PARAMS[: STORE_BUDGET + 4]]
     expected = {(p, route): _fresh(route, p, 60) for p in pairs for route in ROUTES}
     clear_caches()
@@ -324,4 +331,4 @@ def test_store_under_concurrent_requests():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert all(len(store._held) <= STORE_BUDGET for _, store in ROUTES.values())
+    assert len(tables._THETA) <= STORE_BUDGET
