@@ -11,6 +11,8 @@ theorem, and deeper scans routinely kill candidates.
 
 import argparse
 
+from singover.checks import CAP_PARITY
+from singover.errors import ParameterError
 from singover.params import SingularParams
 from singover.tables import parity_table
 
@@ -24,8 +26,18 @@ def main():
         "--min-hits", type=int, default=50, help="smallest sample size to report"
     )
     args = parser.parse_args()
+    if not 1 <= args.x <= CAP_PARITY:
+        parser.error(f"--x must be in [1, {CAP_PARITY}]")
+    if args.a_max < 2:
+        parser.error("--a-max must be >= 2")
+    if args.min_hits < 1:
+        parser.error("--min-hits must be >= 1")
 
-    table = parity_table(SingularParams(args.p, 1), args.x)
+    try:
+        params = SingularParams(args.p, 1)
+    except ParameterError as exc:
+        parser.error(str(exc))
+    table = parity_table(params, args.x)
     # the parity of degree n is character n, read once for every progression
     digits = format(table.bits, "b").zfill(args.x + 1)[::-1]
 

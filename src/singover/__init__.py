@@ -13,15 +13,7 @@ through their modules.
 """
 
 from .distribution import parity_census
-from .errors import (
-    DegreeMismatchError,
-    DiscrepancyError,
-    NonUnitDivisorError,
-    ParameterError,
-    PreconditionError,
-    SingoverError,
-    TableTooShortError,
-)
+from .errors import DiscrepancyError, ParameterError, PreconditionError, SingoverError
 from .params import SingularParams
 from .qseries import TruncSeriesF2, TruncSeriesZ
 from .tables import coefficients_product, coefficients_theta, parity_table, special_form
@@ -29,14 +21,11 @@ from .tables import coefficients_product, coefficients_theta, parity_table, spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeMismatchError",
     "DiscrepancyError",
-    "NonUnitDivisorError",
     "ParameterError",
     "PreconditionError",
     "SingoverError",
     "SingularParams",
-    "TableTooShortError",
     "TruncSeriesF2",
     "TruncSeriesZ",
     "coefficients_product",

@@ -25,8 +25,8 @@ from .parity import FIRST_ELL
 # output helpers
 
 
-def _emit_json(payload, out) -> None:
-    out.write(json.dumps(payload, indent=2) + "\n")
+def _emit_json(report, out) -> None:
+    out.write(json.dumps(report, indent=2) + "\n")
 
 
 def _emit_csv_rows(header, rows, out) -> None:
@@ -38,7 +38,7 @@ def _emit_csv_rows(header, rows, out) -> None:
 
 def _emit_table(params, source, table, fmt, out) -> None:
     """Write a table in one joined pass per format over ``table.coeffs``:
-    byte for byte the ``json.dumps(indent=2)`` payload, the ``csv.writer``
+    byte for byte the ``json.dumps(indent=2)`` report, the ``csv.writer``
     rows or the plain ``n=… value=… parity=…`` lines."""
     coeffs = table.coeffs
     if fmt == "json":
@@ -131,49 +131,26 @@ def cmd_verify(args, out) -> int:
     return 0 if _emit_checks(args.suite, config, results, args.fmt, out) else 1
 
 
-def _density_payload(report) -> dict:
-    return {
-        "command": "density",
-        "p": report.p,
-        "X": report.cutoff,
-        "even_count": report.even_count,
-        "odd_count": report.odd_count,
-        "nu_even": report.nu_even,
-        "nu_odd": report.nu_odd,
-        "even_lower_bound": report.even_lower_bound,
-        "odd_lower_bound": report.odd_lower_bound,
-        "even_dominates": report.even_dominates,
-        "odd_dominates": report.odd_dominates,
-    }
-
-
-def _emit_density(report, fmt, out) -> None:
-    payload = _density_payload(report)
-    if fmt == "json":
-        _emit_json(payload, out)
-    elif fmt == "csv":
-        keys = [k for k in payload if k != "command"]
-        _emit_csv_rows(keys, [tuple(payload[k] for k in keys)], out)
-    else:
-        for key, value in payload.items():
-            if key != "command":
-                out.write(f"{key}={value}\n")
-
-
 def cmd_density(args, out) -> int:
     # X below the even sequence's first term has no witness sequence
     least = FIRST_ELL["even"]
     if not least <= args.x <= CAP_PARITY:
         raise ParameterError(f"--x must be in [{least}, {CAP_PARITY}]")
-    try:
-        report = distribution.parity_census(args.p, args.x)
-    except DiscrepancyError as exc:
-        if exc.payload is not None:
-            _emit_density(exc.payload, args.fmt, out)
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    _emit_density(report, args.fmt, out)
-    return 0
+    report = distribution.parity_census(args.p, args.x)
+    if args.fmt == "json":
+        _emit_json({"command": "density", **report}, out)
+    elif args.fmt == "csv":
+        _emit_csv_rows(report.keys(), [report.values()], out)
+    else:
+        out.write("".join(f"{key}={value}\n" for key, value in report.items()))
+    if report["even_dominates"] and report["odd_dominates"]:
+        return 0
+    print(
+        f"verification failure: parity census for p = {args.p}, X = {args.x} "
+        "fell below its proven lower bound",
+        file=sys.stderr,
+    )
+    return 1
 
 
 # ---------------------------------------------------------------------------

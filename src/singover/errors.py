@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per outcome.
+
+``ParameterError`` is bad input: a value outside its documented range,
+series of different truncation degrees, a divisor without a unit
+constant term, or a table that does not cover the degrees read; the
+command line exits 2. ``PreconditionError`` is a hypothesis of a
+theorem that does not hold, so the case is skipped. ``DiscrepancyError``
+is a proven statement that failed; the command line exits 1.
+"""
 
 
 class SingoverError(Exception):
@@ -9,18 +17,6 @@ class ParameterError(SingoverError, ValueError):
     """A parameter lies outside its documented range."""
 
 
-class DegreeMismatchError(SingoverError, ValueError):
-    """Two series with different truncation degrees were combined."""
-
-
-class NonUnitDivisorError(SingoverError, ValueError):
-    """Series division needs a divisor whose constant term is a unit."""
-
-
-class TableTooShortError(SingoverError, ValueError):
-    """A coefficient table does not cover the requested degree."""
-
-
 class PreconditionError(SingoverError, ValueError):
     """A hypothesis the caller must establish does not hold."""
 
@@ -28,11 +24,6 @@ class PreconditionError(SingoverError, ValueError):
 class DiscrepancyError(SingoverError, RuntimeError):
     """A guaranteed property failed to hold; this is reportable, never tolerated.
 
-    Raised when e.g. an interval that provably contains a parity witness
-    yields none, or a census count falls below its proven lower bound.
-    The offending payload, when available, is attached as ``payload``.
+    Raised when an interval that provably contains a parity witness
+    yields none; the message names the interval and its l.
     """
-
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload

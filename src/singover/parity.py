@@ -38,12 +38,7 @@ import math
 from dataclasses import dataclass
 
 from . import qseries as qs
-from .errors import (
-    DiscrepancyError,
-    ParameterError,
-    PreconditionError,
-    TableTooShortError,
-)
+from .errors import DiscrepancyError, ParameterError, PreconditionError
 from .params import SingularParams
 
 # The smallest l >= 2 in each variant's class mod 3 (l = 1 for even,
@@ -77,9 +72,7 @@ def convolution_parity_check(params: SingularParams, n: int, table) -> bool:
     if n < 1:
         raise ParameterError(f"the convolution identity is about n >= 1, got {n}")
     if table.trunc_degree < n:
-        raise TableTooShortError(
-            f"table degree {table.trunc_degree} does not cover n = {n}"
-        )
+        raise ParameterError(f"table degree {table.trunc_degree} does not cover n = {n}")
     return n not in convolution_mismatches(params, table.truncate(n))
 
 
@@ -201,7 +194,8 @@ class ParityWitness:
 def _scan_interval(params, table, lo, hi, want_bit, ell) -> ParityWitness:
     """The smallest n in [lo, hi] with table parity want_bit, read as one
     window of bits: the lowest set bit of the window (odd) or of its
-    complement (even)."""
+    complement (even). An interval with none raises DiscrepancyError,
+    whose message names the parity, (k, i), lo, hi and l."""
     found = table.window(lo, hi)
     if not want_bit:
         found ^= (1 << (hi - lo + 1)) - 1
@@ -211,8 +205,7 @@ def _scan_interval(params, table, lo, hi, want_bit, ell) -> ParityWitness:
         return ParityWitness(params, n, parity, lo, hi, ell)
     raise DiscrepancyError(
         f"no {parity} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
-        f"(l = {ell}); this contradicts a proven statement",
-        payload={"params": (params.k, params.i), "lo": lo, "hi": hi, "ell": ell},
+        f"(l = {ell}); this contradicts a proven statement"
     )
 
 

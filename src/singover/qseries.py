@@ -13,12 +13,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import (
-    DegreeMismatchError,
-    NonUnitDivisorError,
-    ParameterError,
-    TableTooShortError,
-)
+from .errors import ParameterError
 from .params import SingularParams
 
 
@@ -86,7 +81,7 @@ class TruncSeriesF2:
         if lo < 0 or hi < lo - 1:
             raise ParameterError(f"window [{lo}, {hi}] needs 0 <= lo <= hi + 1")
         if hi > self.trunc_degree:
-            raise TableTooShortError(
+            raise ParameterError(
                 f"table degree {self.trunc_degree} does not cover the interval [{lo}, {hi}]"
             )
         return (self.bits >> lo) & ((1 << (hi - lo + 1)) - 1)
@@ -105,9 +100,7 @@ class TruncSeriesF2:
 
 def _require_same_degree(s, t):
     if s.trunc_degree != t.trunc_degree:
-        raise DegreeMismatchError(
-            f"truncation degrees differ: {s.trunc_degree} vs {t.trunc_degree}"
-        )
+        raise ParameterError(f"truncation degrees differ: {s.trunc_degree} vs {t.trunc_degree}")
 
 
 def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
@@ -181,7 +174,7 @@ def _div_extend(r: list, sc, tc) -> None:
     """
     t0 = tc[0]
     if t0 not in (1, -1):
-        raise NonUnitDivisorError(f"divisor constant term must be +1 or -1, got {t0}")
+        raise ParameterError(f"divisor constant term must be +1 or -1, got {t0}")
     start, top = len(r), len(sc)
     nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
     minus = [j for j, c in nz if c == -1]
@@ -445,7 +438,7 @@ def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     the last one ends at N+1 with no overshoot.
     """
     if not t.bits & 1:
-        raise NonUnitDivisorError("parity inverse needs constant term 1")
+        raise ParameterError("parity inverse needs constant term 1")
     n = t.trunc_degree
     even, odd = _even_bits(t.bits), _even_bits(t.bits >> 1)
     precs = []

@@ -146,11 +146,11 @@ def test_c09_distribution():
     details = []
     for x in (100, 1000, 10_000):
         rep = parity_census(5, x)
-        ok &= rep.even_dominates and rep.odd_dominates
-        ok &= rep.even_count + rep.odd_count == x
+        ok &= rep["even_dominates"] and rep["odd_dominates"]
+        ok &= rep["even_count"] + rep["odd_count"] == x
         details.append(
-            f"X={x}: even {rep.even_count}>={rep.even_lower_bound}, "
-            f"odd {rep.odd_count}>={rep.odd_lower_bound}"
+            f"X={x}: even {rep['even_count']}>={rep['even_lower_bound']}, "
+            f"odd {rep['odd_count']}>={rep['odd_lower_bound']}"
         )
         for variant, seed in (("even", 4), ("odd", 2)):
             seq = build_sequence(variant, seed, x)

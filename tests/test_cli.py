@@ -15,6 +15,7 @@ import pytest
 
 from singover import checks, cli, tables
 from singover.params import SingularParams
+from singover.qseries import TruncSeriesF2
 
 
 def run_cli(args, capsys):
@@ -297,6 +298,26 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["checks"][0]["detail"]["counterexamples"] == [4]
+
+
+def test_density_below_a_floor_prints_the_report_and_exits_1(capsys, monkeypatch):
+    # an all-even table leaves no odd value, so the odd floor fails
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: TruncSeriesF2(1, n))
+    failure = (
+        "verification failure: parity census for p = 5, X = 100 fell below its "
+        "proven lower bound\n"
+    )
+    code, out, err = run_cli(["density", "--p", "5", "--x", "100"], capsys)
+    assert (code, err) == (1, failure)
+    report = json.loads(out)
+    assert report["command"] == "density"
+    assert (report["even_count"], report["odd_count"]) == (100, 0)
+    assert report["even_dominates"] is True and report["odd_dominates"] is False
+    code, out, err = run_cli(["density", "--p", "5", "--x", "100", "--format", "csv"], capsys)
+    assert (code, err) == (1, failure)
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["odd_count"] == "0" and row["odd_dominates"] == "False"
+    assert list(row) == [key for key in report if key != "command"]
 
 
 def test_plain_format(capsys):

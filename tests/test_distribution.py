@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from singover import tables
 from singover.distribution import (
-    DensityReport,
     build_sequence,
     interval_cover_check,
     next_term,
     parity_census,
 )
-from singover.errors import DiscrepancyError, ParameterError, TableTooShortError
+from singover.errors import ParameterError
 from singover.params import SingularParams
 from singover.qseries import TruncSeriesF2
 from singover.tables import coefficients_theta, parity_table
@@ -81,20 +80,24 @@ def test_sequence_terms_are_big_integers():
 
 def test_census_partition_of_range():
     report = parity_census(5, 10)
-    assert report.even_count + report.odd_count == 10
+    assert report["even_count"] + report["odd_count"] == 10
     report = parity_census(5, 2000)
-    assert report.even_count + report.odd_count == 2000
-    assert report.even_count >= report.even_lower_bound
-    assert report.odd_count >= report.odd_lower_bound
-    assert report.even_dominates and report.odd_dominates
-    assert report.nu_even == 2  # 4, 26, 1027
-    assert report.nu_odd == 4  # 2, 5, 35, 1820
+    assert report["even_count"] + report["odd_count"] == 2000
+    assert report["even_count"] >= report["even_lower_bound"]
+    assert report["odd_count"] >= report["odd_lower_bound"]
+    assert report["even_dominates"] and report["odd_dominates"]
+    assert report["nu_even"] == 2  # 4, 26, 1027
+    assert report["nu_odd"] == 4  # 2, 5, 35, 1820
 
 
 def test_census_other_prime():
     report = parity_census(7, 2000)
-    assert report.odd_count >= report.odd_lower_bound
-    assert isinstance(report, DensityReport)
+    assert report["odd_count"] >= report["odd_lower_bound"]
+    assert list(report) == [
+        "p", "X", "even_count", "odd_count", "nu_even", "nu_odd",
+        "even_lower_bound", "odd_lower_bound", "even_dominates", "odd_dominates",
+    ]
+    assert (report["p"], report["X"]) == (7, 2000)
 
 
 def test_census_works_on_exact_tables_too():
@@ -102,7 +105,7 @@ def test_census_works_on_exact_tables_too():
     exact = coefficients_theta(SingularParams(5, 1), 300)
     odd = sum(v & 1 for v in exact.coeffs[1:])
     report = parity_census(5, 300)
-    assert (report.even_count, report.odd_count) == (300 - odd, odd)
+    assert (report["even_count"], report["odd_count"]) == (300 - odd, odd)
 
 
 def test_census_validation(monkeypatch):
@@ -110,7 +113,7 @@ def test_census_validation(monkeypatch):
         parity_census(6, 50)  # composite
     # a table that stops short of X is refused, not read past its end
     monkeypatch.setattr(tables, "parity_table", lambda params, n: parity_table(params, n - 1))
-    with pytest.raises(TableTooShortError):
+    with pytest.raises(ParameterError, match="does not cover the interval"):
         parity_census(5, 101)
 
 
@@ -135,13 +138,13 @@ def test_census_validates_its_input_before_building_the_table(monkeypatch, p, cu
     assert built == []
 
 
-def test_census_discrepancy_carries_report(monkeypatch):
+def test_census_below_a_floor_returns_a_false_flag(monkeypatch):
     # fabricated all-even parities force the odd bound to fail
     monkeypatch.setattr(tables, "parity_table", lambda params, n: TruncSeriesF2(1, n))
-    with pytest.raises(DiscrepancyError) as err:
-        parity_census(5, 100)
-    assert err.value.payload.odd_count == 0
-    assert not err.value.payload.odd_dominates
+    report = parity_census(5, 100)
+    assert (report["even_count"], report["odd_count"]) == (100, 0)
+    assert report["odd_lower_bound"] == 1  # nu_odd = 3: 2, 5, 35
+    assert report["even_dominates"] is True and report["odd_dominates"] is False
 
 
 def test_interval_cover_even():

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from singover import checks, tables
 from singover import qseries as qs
-from singover.errors import (
-    DiscrepancyError,
-    ParameterError,
-    PreconditionError,
-    TableTooShortError,
-)
+from singover.errors import DiscrepancyError, ParameterError, PreconditionError
 from singover.params import SingularParams
 from singover.parity import (
     FIRST_ELL,
@@ -237,7 +232,7 @@ def test_convolution_requires_positive_n_and_coverage():
     table = coefficients_theta(params, 20)
     with pytest.raises(ParameterError):
         convolution_parity_check(params, 0, table)
-    with pytest.raises(TableTooShortError):
+    with pytest.raises(ParameterError, match="^table degree 20 does not cover n = 21$"):
         convolution_parity_check(params, 21, table)
 
 
@@ -561,7 +556,7 @@ def test_precondition_at_the_largest_l_is_fast():
 
 def test_witness_table_too_short():
     params = SingularParams(5, 1)
-    with pytest.raises(TableTooShortError):
+    with pytest.raises(ParameterError, match=r"does not cover the interval \[4, 26\]$"):
         find_even_in_interval(params, 4, parity_table(params, 20))
 
 
@@ -606,8 +601,12 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
     for odd_degrees, want_bit in (({lo - 1, hi + 1}, 1), (every - {lo - 1, hi + 1}, 0)):
         with pytest.raises(DiscrepancyError) as exc:
             scan(odd_degrees, want_bit)
-        assert exc.value.payload == {"params": (5, 1), "lo": lo, "hi": hi, "ell": 4}
-    with pytest.raises(TableTooShortError):
+        parity = "odd" if want_bit else "even"
+        assert str(exc.value) == (
+            f"no {parity} value of C-bar_{{5,1}} in [{lo}, {hi}] (l = 4); "
+            "this contradicts a proven statement"
+        )
+    with pytest.raises(ParameterError, match="does not cover the interval"):
         _scan_interval(params, _fabricated(kind, every, hi - 1), lo, hi, 1, 4)
 
 

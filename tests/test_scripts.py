@@ -55,3 +55,21 @@ def test_bench_commands_writes_its_report(tmp_path):
     assert len(rows) == 11 and rows[0]["command"] == "compute --k 5 --i 1 --n-max 50"
     assert all(row["seconds"] >= 0 and len(row["stdout_sha256"]) == 64 for row in rows)
     assert len(done.stdout.splitlines()) == 11
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--x", "0"], "--x must be in [1, 1000000]"),
+        (["--x", "-1"], "--x must be in [1, 1000000]"),
+        (["--x", "1000001"], "--x must be in [1, 1000000]"),
+        (["--a-max", "1"], "--a-max must be >= 2"),
+        (["--min-hits", "0", "--a-max", "100", "--x", "50"], "--min-hits must be >= 1"),
+        (["--p", "2", "--x", "50"], "modulus k must be >= 3, got 2"),
+    ],
+    ids=["x-zero", "x-negative", "x-past-cap", "a-max-one", "min-hits-zero", "p-two"],
+)
+def test_scan_progressions_refuses_bad_sizes(args, message):
+    done = run_script(["scripts/scan_progressions.py", *args])
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[-1].endswith(f"error: {message}")
