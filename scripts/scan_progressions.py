@@ -16,6 +16,13 @@ from singover.errors import ParameterError
 from singover.params import SingularParams
 from singover.tables import parity_table
 
+# The largest --a-max. The scan takes a(a-1)/2 slices, so its cost grows
+# as a_max^2 once a passes X. At --a-max 2000 and --min-hits 1 it took
+# 1.4 s at --x 1000000, and 3.2 s at --x 1000 and at --x 2000, the
+# slowest X measured, which print 1.3-1.4 million one- and two-sample
+# lines (Python 3.11, 2 cores).
+A_MAX = 2000
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -32,11 +39,16 @@ def main():
         parser.error("--a-max must be >= 2")
     if args.min_hits < 1:
         parser.error("--min-hits must be >= 1")
-
     try:
         params = SingularParams(args.p, 1)
     except ParameterError as exc:
         parser.error(str(exc))
+    if args.a_max > A_MAX:
+        parser.error(f"--a-max must be <= {A_MAX}")
+    # the fullest class of a, b = 1, holds (x - 1) // a + 1 samples
+    if args.min_hits > 1 and args.a_max > (top := (args.x - 1) // (args.min_hits - 1)):
+        parser.error(f"--a-max must be <= {top}: no class of a larger a has --min-hits samples")
+
     table = parity_table(params, args.x)
     # the parity of degree n is character n, read once for every progression
     digits = format(table.bits, "b").zfill(args.x + 1)[::-1]

@@ -70,26 +70,33 @@ def special_forms(k: int = 1, *, n_max: int) -> list[dict]:
 
 
 def parity_facts(n_max: int) -> list[dict]:
-    """Three parity facts, read off whole bit words of the parity tables.
+    """Four parity facts, read off whole bit words of the parity tables.
 
     Each list of bad degrees is the ascending set bits of a masked word,
     restricted to degrees 1..n_max: C-bar_{3,1} odd anywhere,
     C-bar_{4,1} odd at an odd degree, and C-bar_{6,2} differing from
     (q;q) mod 2, which is odd exactly at the generalized pentagonals.
+    The fourth, on degrees 0..n_max, is C-bar_{4,2} differing from p(n)
+    mod 2, which holds because theta_{k,k/2} = 1 (mod 2). Its p(n) mod 2
+    is ``qseries.inv_f2`` of the pentagonal bits, a derivation apart
+    from the Jacobi lift inside every parity table.
     """
     t31 = tables.parity_table(SingularParams(3, 1), n_max)
     t41 = tables.parity_table(SingularParams(4, 1), n_max)
     t62 = tables.parity_table(SingularParams(6, 2), n_max)
+    t42 = tables.parity_table(SingularParams(4, 2), n_max)
     degrees = ((1 << (n_max + 1)) - 1) ^ 1  # degrees 1..n_max
     odd_degrees = int.from_bytes(b"\xaa" * (n_max // 8 + 1), "little") & degrees
-    pents = qs.form_bits(3, 1, n_max).bits
+    pents = qs.form_bits(3, 1, n_max)
     bad31 = qs._set_bits(t31.bits & degrees)
     bad41 = qs._set_bits(t41.bits & odd_degrees)
-    bad62 = qs._set_bits((t62.bits ^ pents) & degrees)
+    bad62 = qs._set_bits((t62.bits ^ pents.bits) & degrees)
+    bad42 = qs._set_bits(t42.bits ^ qs.inv_f2(pents).bits)
     return [
         _record(f"c31-always-even-n{n_max}", bad31, "odd_at", "failure_count"),
         _record(f"c41-odd-arguments-even-n{n_max}", bad41, "odd_at", "failure_count"),
         _record(f"c62-odd-iff-pentagonal-n{n_max}", bad62, "mismatch_at"),
+        _record(f"c42-parity-of-partitions-n{n_max}", bad42, "mismatch_at"),
     ]
 
 

@@ -394,9 +394,12 @@ def mul_f2(s: TruncSeriesF2, t: TruncSeriesF2) -> TruncSeriesF2:
 # Byte tables for bytes.translate. _SPREAD_LO maps a byte to its low
 # nibble with bit j moved to bit 2j, _SPREAD_HI the same for its high
 # nibble; _GATHER_LO maps a byte to its bits 0, 2, 4, 6 moved to bits
-# 0..3, and _GATHER_HI to bits 4..7.
+# 0..3, and _GATHER_HI to bits 4..7. _SPREAD4[c] maps a byte to its
+# bits 2c and 2c+1 moved to bits 0 and 4: two spreads by 2 in a row,
+# composed by translate.
 _SPREAD_LO = bytes(sum(((b >> j) & 1) << (2 * j) for j in range(4)) for b in range(256))
 _SPREAD_HI = bytes(_SPREAD_LO[b >> 4] for b in range(256))
+_SPREAD4 = [s.translate(t) for s in (_SPREAD_LO, _SPREAD_HI) for t in (_SPREAD_LO, _SPREAD_HI)]
 _GATHER_LO = bytes(sum(((b >> (2 * j)) & 1) << j for j in range(4)) for b in range(256))
 _GATHER_HI = bytes(v << 4 for v in _GATHER_LO)
 
@@ -423,6 +426,68 @@ def _even_bits(x: int) -> int:
     return lo | int.from_bytes(xb[1::2].translate(_GATHER_HI), "little")
 
 
+def _spread4(x: int) -> int:
+    """The spread x(q^4), bit n to bit 4n: the fourth power of x over GF(2).
+
+    Byte j of x spreads to bytes 4j..4j+3, two bits each, one
+    ``bytes.translate`` per output byte lane, interleaved by
+    extended-slice assignment as in ``_square_bits``.
+    """
+    xb = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    out = bytearray(4 * len(xb))
+    for c, table in enumerate(_SPREAD4):
+        out[c::4] = xb.translate(table)
+    return int.from_bytes(out, "little")
+
+
+def partition_bits(trunc_degree: int) -> TruncSeriesF2:
+    """The partition generating function 1/(q;q)_inf mod 2, truncated.
+
+    Jacobi's identity (Andrews, *The Theory of Partitions*, 1976, ch. 2)
+    gives
+
+        (q;q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2),
+
+    so (q;q)^3 is T = sum_{n>=0} q^(n(n+1)/2) mod 2, and squaring twice
+    in characteristic 2 gives (q;q)^4 = (q^4;q^4). Hence
+
+        1/(q;q) = (q;q)^3 / (q;q)^4 = T(q) * P(q^4)    (mod 2),
+
+    with P = 1/(q;q). Split T once into its 4-sections,
+    T = sum_c q^c T_c(q^4), with each section's exponents listed once.
+    If r = P mod q^ceil(m/4), then P = sum_c q^c spread4(T_c * r) mod
+    q^m, where each T_c * r is a shift-XOR over the few bits of T_c
+    taken modulo q^ceil(m/4). The precisions N+1, ceil((N+1)/4), ...
+    down to 1 are taken from the bottom, so the last round ends at N+1.
+    """
+    if trunc_degree < 0:
+        raise ParameterError("truncation degree must be nonnegative")
+    top = trunc_degree + 1
+    sections = [[], [], [], []]
+    n = e = 0
+    while e < top:
+        sections[e & 3].append(e >> 2)
+        n += 1
+        e += n
+    precs = []
+    m = top
+    while m > 1:
+        precs.append(m)
+        m = (m + 3) // 4
+    r = 1  # P mod q^m, with m = 1
+    for prec in reversed(precs):
+        low = (prec + 3) // 4  # r has exactly this precision
+        mask = (1 << low) - 1
+        acc = 0
+        for c, exps in enumerate(sections):
+            prod = 0
+            for j in exps[: bisect_left(exps, low)]:
+                prod ^= r << j
+            acc ^= _spread4(prod & mask) << c
+        r = acc & ((1 << prec) - 1)
+    return TruncSeriesF2(r, trunc_degree)
+
+
 def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     """Multiplicative inverse of a parity series with constant term 1.
 
@@ -436,6 +501,10 @@ def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     as long as t*r^2. The precisions are N+1, ceil((N+1)/2), ... down
     to 1, taken from the bottom: each round lifts m to 2m or 2m-1, and
     the last one ends at N+1 with no overshoot.
+
+    No table is built through it: ``partition_bits`` gives 1/(q;q) mod 2
+    to every parity table, and ``checks.parity_facts`` compares it with
+    the inverse of the pentagonal bits taken here.
     """
     if not t.bits & 1:
         raise ParameterError("parity inverse needs constant term 1")
@@ -456,7 +525,3 @@ def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     return TruncSeriesF2(r, n)
 
 
-def div_f2(s: TruncSeriesF2, t: TruncSeriesF2) -> TruncSeriesF2:
-    """Parity-series quotient: s times the inverse of t."""
-    _require_same_degree(s, t)
-    return mul_f2(s, inv_f2(t))

@@ -23,9 +23,11 @@ Three routes to the same numbers:
   (3k', k'), (4k', k') or (6k', k').
 
 ``parity_table`` is the mod-2 shortcut used by the witness searches: the
-same theta quotient carried out entirely in packed GF(2) arithmetic. Its
-two inputs, the theta numerator and (q;q) mod 2, are built as bits
-straight from ``qseries.form_exponents``, with no integer series.
+same theta quotient carried out entirely in packed GF(2) arithmetic. The
+theta numerator mod 2 is built as bits straight from
+``qseries.form_exponents``, and 1/(q;q) mod 2 is ``qseries.partition_bits``,
+lifted from Jacobi's cube identity; no integer series and no division
+come between.
 
 The theta route keeps, per (k, i), the largest table built so far, so
 a session's exact requests share one expansion. A smaller request is a
@@ -110,12 +112,12 @@ def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSer
 def parity_table(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesF2:
     """Mod-2 table via the packed GF(2) theta quotient.
 
-    The theta numerator and (q;q) mod 2 are ``qseries.form_bits``, one
-    bit per ``form_exponents`` value, with no integer series between.
+    The theta numerator mod 2 is ``qseries.form_bits``, one bit per
+    ``form_exponents`` value; it is multiplied by 1/(q;q) mod 2 from
+    ``qseries.partition_bits``, with no integer series between.
     """
     theta = qs.form_bits(params.k, params.i, trunc_degree)
-    penta = qs.form_bits(3, 1, trunc_degree)
-    return qs.div_f2(theta, penta)
+    return qs.mul_f2(theta, qs.partition_bits(trunc_degree))
 
 
 # Reduced eta-quotients over (q;q), as (modulus multiple, numerator eta

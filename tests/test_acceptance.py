@@ -90,10 +90,10 @@ def test_c05_cited_parity_facts():
     packed_ok = all(
         parity_table(SingularParams(k, i), n).bits
         == reduce_mod2(coefficients_theta(SingularParams(k, i), n)).bits
-        for k, i in ((3, 1), (4, 1), (6, 2))
+        for k, i in ((3, 1), (4, 1), (6, 2), (4, 2))
     )
     report(
-        f"C05 parity facts (3,1)/(4,1)/(6,2) to N={n}",
+        f"C05 parity facts (3,1)/(4,1)/(6,2)/(4,2) to N={n}",
         not bad and packed_ok,
         f"failed={bad} packed==exact mod 2: {packed_ok}",
     )

@@ -7,23 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singover.errors import ParameterError
+from singover.params import SingularParams
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
     _even_bits,
     _mul_bits,
     _set_bits,
+    _spread4,
     _square_bits,
     div,
-    div_f2,
     eta_product,
     form_bits,
     inv_f2,
     mul,
     mul_f2,
+    partition_bits,
     reduce_mod2,
     theta_sum,
 )
+from singover.tables import parity_table
 
 
 def test_reduce_mod2_eta():
@@ -98,12 +101,9 @@ def test_inv_f2_needs_unit():
 
 
 @pytest.mark.parametrize("k,i,n", [(3, 1, 300), (5, 1, 257), (7, 3, 128)])
-def test_div_f2_matches_exact_quotient(k, i, n):
-    num = theta_sum(k, i, n)
-    den = eta_product(1, n)
-    fast = div_f2(reduce_mod2(num), reduce_mod2(den))
-    exact = reduce_mod2(div(num, den))
-    assert fast == exact
+def test_parity_table_matches_exact_quotient(k, i, n):
+    exact = reduce_mod2(div(theta_sum(k, i, n), eta_product(1, n)))
+    assert parity_table(SingularParams(k, i), n) == exact
 
 
 def test_window_f2_reads_lo_to_hi_and_refuses_past_the_end():
@@ -181,14 +181,14 @@ def test_mul_bits_matches_lowest_bit_loop(x, y):
     assert _mul_bits(x, y) == _mul_bits_by_lowest_bit(x, y)
 
 
-# --- the Newton kernel ----------------------------------------------------------
+# --- the Newton kernel and the base-4 lift ---------------------------------------
 
 
-def _spread_by_digits(x):
-    """x(q^2), built one binary digit of x at a time."""
+def _spread_by_digits(x, step=2):
+    """x(q^step), built one binary digit of x at a time."""
     out = []
     for digit in bin(x)[:1:-1]:  # bit 0 first
-        out += (digit, "0")
+        out += (digit, *"0" * (step - 1))
     return int("".join(reversed(out)), 2)
 
 
@@ -213,6 +213,15 @@ def test_square_bits_spreads_every_bit():
         assert _square_bits(_even_bits(x)) | (_square_bits(_even_bits(x >> 1)) << 1) == x
 
 
+def test_spread4_spreads_every_bit():
+    rng = random.Random(0x5B14)
+    cases = [0, 1, 1 << 100_000]
+    widths = (1, 2, 3, 7, 8, 9, 16, 17, 64, 1000, 20_001)
+    cases += [rng.getrandbits(w) for w in widths for _ in range(5)]
+    for x in cases:
+        assert _spread4(x) == _spread_by_digits(x, 4)
+
+
 KERNEL_DEGREES = sorted(
     {0, 1, 2, 3, 10007} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)}
 )
@@ -229,3 +238,21 @@ def test_inv_f2_matches_full_length_newton(n):
     ]
     for t in units:
         assert inv_f2(t).bits == _inv_by_full_length_newton(t)
+
+
+def test_partition_bits_matches_the_newton_inverse_at_every_small_degree():
+    # the Jacobi lift against Euler's pentagonal exponents inverted by Newton
+    for n in range(300):
+        assert partition_bits(n) == inv_f2(form_bits(3, 1, n)), n
+
+
+@pytest.mark.parametrize("n", [*KERNEL_DEGREES, 10**5, 10**6])
+def test_partition_bits_matches_the_newton_inverse(n):
+    # KERNEL_DEGREES holds 4^j - 1, 4^j and 4^j + 1, where the base-4
+    # precisions turn
+    assert partition_bits(n) == inv_f2(form_bits(3, 1, n))
+
+
+def test_partition_bits_refuses_a_negative_degree():
+    with pytest.raises(ParameterError, match="^truncation degree must be nonnegative$"):
+        partition_bits(-1)

@@ -649,16 +649,18 @@ def test_parity_facts_report_planted_failures(monkeypatch):
     rng = random.Random(0xFAC7)
     true = {
         (k, i): parity_table(SingularParams(k, i), n).bits
-        for k, i in ((3, 1), (4, 1), (6, 2))
+        for k, i in ((3, 1), (4, 1), (6, 2), (4, 2))
     }
     plant31 = sorted(rng.sample(range(1, n + 1), 23) + [n])
     plant41 = sorted(rng.sample(range(1, n + 1, 2), 14))
     even_noise = rng.sample(range(0, n + 1, 2), 9)  # even degrees: no fact about them
     plant62 = sorted(rng.sample(range(1, n + 1), 17))
+    plant42 = sorted(rng.sample(range(1, n + 1), 12) + [0])  # C-bar_{4,2}(0) = p(0)
     planted = {
-        (3, 1): plant31 + [0],  # degree 0 lies outside every fact
+        (3, 1): plant31 + [0],  # degree 0 lies outside the first three facts
         (4, 1): plant41 + even_noise,
         (6, 2): plant62,
+        (4, 2): plant42,
     }
 
     def fake(params, trunc_degree):
@@ -667,8 +669,9 @@ def test_parity_facts_report_planted_failures(monkeypatch):
         return qs.TruncSeriesF2(true[key] ^ flips, trunc_degree)
 
     monkeypatch.setattr(tables, "parity_table", fake)
-    c31, c41, c62 = checks.parity_facts(n)
-    assert not (c31["passed"] or c41["passed"] or c62["passed"])
+    c31, c41, c62, c42 = checks.parity_facts(n)
+    assert not (c31["passed"] or c41["passed"] or c62["passed"] or c42["passed"])
     assert c31["detail"] == {"odd_at": plant31[:10], "failure_count": len(plant31)}
     assert c41["detail"] == {"odd_at": plant41[:10], "failure_count": len(plant41)}
     assert c62["detail"] == {"mismatch_at": plant62[:10], "mismatch_count": len(plant62)}
+    assert c42["detail"] == {"mismatch_at": plant42[:10], "mismatch_count": len(plant42)}

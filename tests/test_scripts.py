@@ -66,10 +66,32 @@ def test_bench_commands_writes_its_report(tmp_path):
         (["--a-max", "1"], "--a-max must be >= 2"),
         (["--min-hits", "0", "--a-max", "100", "--x", "50"], "--min-hits must be >= 1"),
         (["--p", "2", "--x", "50"], "modulus k must be >= 3, got 2"),
+        (["--a-max", "2001", "--x", "1000000", "--min-hits", "1"], "--a-max must be <= 2000"),
+        # degrees 0..10 in steps of 5 give at most 2 samples, of 4 at most 3
+        (
+            ["--a-max", "5", "--x", "10", "--min-hits", "3"],
+            "--a-max must be <= 4: no class of a larger a has --min-hits samples",
+        ),
+        (
+            ["--a-max", "2", "--x", "50", "--min-hits", "100"],
+            "--a-max must be <= 0: no class of a larger a has --min-hits samples",
+        ),
     ],
-    ids=["x-zero", "x-negative", "x-past-cap", "a-max-one", "min-hits-zero", "p-two"],
+    ids=[
+        "x-zero", "x-negative", "x-past-cap", "a-max-one", "min-hits-zero", "p-two",
+        "a-max-past-cap", "a-max-past-min-hits", "min-hits-past-x",
+    ],
 )
 def test_scan_progressions_refuses_bad_sizes(args, message):
     done = run_script(["scripts/scan_progressions.py", *args])
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
+def test_scan_progressions_reads_the_largest_a_that_reaches_min_hits():
+    # a = 4, b = 1 samples degrees 1, 5 and 9: three samples in 0..10
+    done = run_script(
+        ["scripts/scan_progressions.py", "--a-max", "4", "--x", "10", "--min-hits", "3"]
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("# candidates for constant parity")

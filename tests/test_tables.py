@@ -275,9 +275,10 @@ def test_theta_store_extends_without_rebuilding_the_prefix(monkeypatch):
 
 @pytest.mark.parametrize("k,i", [(5, 1), (8, 4)])
 def test_a_parity_build_calls_one_inverse_and_no_integer_series(monkeypatch, k, i):
-    # the layers a traced parity request reports: one GF(2) inverse, and
-    # no integer theta numerator, eta product or reduction mod 2
-    layers = ("inv_f2", "theta_sum", "eta_product", "reduce_mod2")
+    # the layers a traced parity request reports: one 1/(q;q) mod 2 from
+    # the Jacobi lift, no Newton inverse, and no integer theta numerator,
+    # eta product or reduction mod 2
+    layers = ("partition_bits", "inv_f2", "theta_sum", "eta_product", "reduce_mod2")
     calls = dict.fromkeys(layers, 0)
     for name in layers:
         real = getattr(tables.qs, name)
@@ -289,7 +290,9 @@ def test_a_parity_build_calls_one_inverse_and_no_integer_series(monkeypatch, k, 
         monkeypatch.setattr(tables.qs, name, counted)
     clear_caches()
     parity_table(SingularParams(k, i), 3000)
-    assert calls == {"inv_f2": 1, "theta_sum": 0, "eta_product": 0, "reduce_mod2": 0}
+    assert calls == {
+        "partition_bits": 1, "inv_f2": 0, "theta_sum": 0, "eta_product": 0, "reduce_mod2": 0
+    }
 
 
 def test_store_under_concurrent_requests():
