@@ -17,10 +17,10 @@ from singover.params import SingularParams
 from singover.tables import parity_table
 
 # The largest --a-max. The scan takes a(a-1)/2 slices, so its cost grows
-# as a_max^2 once a passes X. At --a-max 2000 and --min-hits 1 it took
-# 1.4 s at --x 1000000, and 3.2 s at --x 1000 and at --x 2000, the
-# slowest X measured, which print 1.3-1.4 million one- and two-sample
-# lines (Python 3.11, 2 cores).
+# as a_max^2 once a passes X. At --a-max 2000 and --min-hits 2 it took
+# 1.3 s at --x 1000000, and 1.6 s at --x 3000, the slowest of the X
+# measured from 2001 to 6000, which prints 0.63 million lines, mostly
+# of two-sample classes (Python 3.11, 2 cores).
 A_MAX = 2000
 
 
@@ -37,8 +37,8 @@ def main():
         parser.error(f"--x must be in [1, {CAP_PARITY}]")
     if args.a_max < 2:
         parser.error("--a-max must be >= 2")
-    if args.min_hits < 1:
-        parser.error("--min-hits must be >= 1")
+    if args.min_hits < 2:
+        parser.error("--min-hits must be >= 2")
     try:
         params = SingularParams(args.p, 1)
     except ParameterError as exc:
@@ -46,7 +46,7 @@ def main():
     if args.a_max > A_MAX:
         parser.error(f"--a-max must be <= {A_MAX}")
     # the fullest class of a, b = 1, holds (x - 1) // a + 1 samples
-    if args.min_hits > 1 and args.a_max > (top := (args.x - 1) // (args.min_hits - 1)):
+    if args.a_max > (top := (args.x - 1) // (args.min_hits - 1)):
         parser.error(f"--a-max must be <= {top}: no class of a larger a has --min-hits samples")
 
     table = parity_table(params, args.x)

@@ -78,8 +78,10 @@ def parity_facts(n_max: int) -> list[dict]:
     (q;q) mod 2, which is odd exactly at the generalized pentagonals.
     The fourth, on degrees 0..n_max, is C-bar_{4,2} differing from p(n)
     mod 2, which holds because theta_{k,k/2} = 1 (mod 2). Its p(n) mod 2
-    is ``qseries.inv_f2`` of the pentagonal bits, a derivation apart
-    from the Jacobi lift inside every parity table.
+    is ``qseries.inv_f2`` of Euler's pentagonal bits, while every parity
+    table takes 1/(q;q) from Jacobi's cube identity. Both run the same
+    ``qseries._lift``, so the check's independence lies in the two
+    identities, not in the kernel.
     """
     t31 = tables.parity_table(SingularParams(3, 1), n_max)
     t41 = tables.parity_table(SingularParams(4, 1), n_max)

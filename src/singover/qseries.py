@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from math import isqrt
 from operator import add, sub
 
 from .errors import ParameterError
@@ -345,12 +346,8 @@ def form_bits(k: int, i: int, trunc_degree: int) -> TruncSeriesF2:
 
 def reduce_mod2(s: TruncSeriesZ) -> TruncSeriesF2:
     """Reduce every coefficient mod 2 into a packed parity series."""
-    n = s.trunc_degree
-    buf = bytearray(n // 8 + 1)
-    for e, c in enumerate(s.coeffs):
-        if c & 1:
-            buf[e >> 3] |= 1 << (e & 7)
-    return TruncSeriesF2(int.from_bytes(buf, "little"), n)
+    bits = int("".join(["01"[c & 1] for c in reversed(s.coeffs)]), 2)
+    return TruncSeriesF2(bits, s.trunc_degree)
 
 
 def _set_bits(x: int) -> list[int]:
@@ -391,53 +388,59 @@ def mul_f2(s: TruncSeriesF2, t: TruncSeriesF2) -> TruncSeriesF2:
     return TruncSeriesF2(_mul_bits(s.bits, t.bits) & mask, n)
 
 
-# Byte tables for bytes.translate. _SPREAD_LO maps a byte to its low
-# nibble with bit j moved to bit 2j, _SPREAD_HI the same for its high
-# nibble; _GATHER_LO maps a byte to its bits 0, 2, 4, 6 moved to bits
-# 0..3, and _GATHER_HI to bits 4..7. _SPREAD4[c] maps a byte to its
-# bits 2c and 2c+1 moved to bits 0 and 4: two spreads by 2 in a row,
-# composed by translate.
-_SPREAD_LO = bytes(sum(((b >> j) & 1) << (2 * j) for j in range(4)) for b in range(256))
-_SPREAD_HI = bytes(_SPREAD_LO[b >> 4] for b in range(256))
-_SPREAD4 = [s.translate(t) for s in (_SPREAD_LO, _SPREAD_HI) for t in (_SPREAD_LO, _SPREAD_HI)]
-_GATHER_LO = bytes(sum(((b >> (2 * j)) & 1) << j for j in range(4)) for b in range(256))
-_GATHER_HI = bytes(v << 4 for v in _GATHER_LO)
+# Byte tables for bytes.translate: _SPREAD[d][c] maps a byte b to byte c
+# of its spread b(q^d), which is b's binary digits read in base 2^d.
+_SPREAD = {
+    d: [bytes(int(f"{b:b}", 1 << d) >> 8 * c & 255 for b in range(256)) for c in range(d)]
+    for d in (2, 4)
+}
 
 
-def _square_bits(x: int) -> int:
-    """The spread x(q^2), bit n to bit 2n: the square of x over GF(2).
+def _spread(x: int, d: int) -> int:
+    """The spread x(q^d), bit n to bit d*n: the d-th power of x over GF(2).
 
-    Byte j of x spreads to bytes 2j (its low nibble) and 2j+1 (its high
-    nibble), each one ``bytes.translate`` over the whole of x, interleaved
-    by extended-slice assignment. ``inv_f2`` spreads its two half-length
-    products with it: t*r^2 = spread(A*r) XOR q*spread(B*r).
+    d is 2 or 4. Byte j of x spreads to bytes dj..dj+d-1, one
+    ``bytes.translate`` over the whole of x per output byte lane,
+    interleaved by extended-slice assignment.
     """
     xb = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    out = bytearray(2 * len(xb))
-    out[0::2] = xb.translate(_SPREAD_LO)
-    out[1::2] = xb.translate(_SPREAD_HI)
+    out = bytearray(d * len(xb))
+    for c, table in enumerate(_SPREAD[d]):
+        out[c::d] = xb.translate(table)
     return int.from_bytes(out, "little")
 
 
-def _even_bits(x: int) -> int:
-    """The bits 0, 2, 4, ... of x packed together: A with x = A(q^2) + q*B(q^2)."""
-    xb = x.to_bytes(2 * ((x.bit_length() + 15) // 16), "little")
-    lo = int.from_bytes(xb[0::2].translate(_GATHER_LO), "little")
-    return lo | int.from_bytes(xb[1::2].translate(_GATHER_HI), "little")
+def _lift(exponents, d: int, trunc_degree: int) -> TruncSeriesF2:
+    """The inverse P = 1/t mod 2 of a unit t, from the exponents of t^(d-1).
 
-
-def _spread4(x: int) -> int:
-    """The spread x(q^4), bit n to bit 4n: the fourth power of x over GF(2).
-
-    Byte j of x spreads to bytes 4j..4j+3, two bits each, one
-    ``bytes.translate`` per output byte lane, interleaved by
-    extended-slice assignment as in ``_square_bits``.
+    In characteristic 2, t^d = t(q^d), so 1/t = t^(d-1)(q) * P(q^d).
+    The ascending exponents (all <= N) of S = t^(d-1) are split once
+    into d-sections, S = sum_c q^c S_c(q^d). If r = P mod q^ceil(m/d),
+    then P = sum_c q^c spread(S_c * r) mod q^m, where each S_c * r is a
+    shift-XOR over the bits of S_c taken modulo q^ceil(m/d). The
+    precisions N+1, ceil((N+1)/d), ... down to 1 are taken from the
+    bottom, so the last round ends at N+1 with no overshoot.
     """
-    xb = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    out = bytearray(4 * len(xb))
-    for c, table in enumerate(_SPREAD4):
-        out[c::4] = xb.translate(table)
-    return int.from_bytes(out, "little")
+    sections = [[] for _ in range(d)]
+    for e in exponents:
+        sections[e % d].append(e // d)
+    precs = []
+    m = trunc_degree + 1
+    while m > 1:
+        precs.append(m)
+        m = (m + d - 1) // d
+    r = 1  # P mod q^m, with m = 1
+    for prec in reversed(precs):
+        low = (prec + d - 1) // d  # r has exactly this precision
+        mask = (1 << low) - 1
+        acc = 0
+        for c, exps in enumerate(sections):
+            prod = 0
+            for j in exps[: bisect_left(exps, low)]:
+                prod ^= r << j
+            acc ^= _spread(prod & mask, d) << c
+        r = acc & ((1 << prec) - 1)
+    return TruncSeriesF2(r, trunc_degree)
 
 
 def partition_bits(trunc_degree: int) -> TruncSeriesF2:
@@ -448,59 +451,22 @@ def partition_bits(trunc_degree: int) -> TruncSeriesF2:
 
         (q;q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2),
 
-    so (q;q)^3 is T = sum_{n>=0} q^(n(n+1)/2) mod 2, and squaring twice
-    in characteristic 2 gives (q;q)^4 = (q^4;q^4). Hence
-
-        1/(q;q) = (q;q)^3 / (q;q)^4 = T(q) * P(q^4)    (mod 2),
-
-    with P = 1/(q;q). Split T once into its 4-sections,
-    T = sum_c q^c T_c(q^4), with each section's exponents listed once.
-    If r = P mod q^ceil(m/4), then P = sum_c q^c spread4(T_c * r) mod
-    q^m, where each T_c * r is a shift-XOR over the few bits of T_c
-    taken modulo q^ceil(m/4). The precisions N+1, ceil((N+1)/4), ...
-    down to 1 are taken from the bottom, so the last round ends at N+1.
+    so (q;q)^3 is T = sum_{n>=0} q^(n(n+1)/2) mod 2, and ``_lift``
+    with d = 4 takes 1/(q;q) = T(q) * P(q^4) from the few bits of T.
     """
     if trunc_degree < 0:
         raise ParameterError("truncation degree must be nonnegative")
-    top = trunc_degree + 1
-    sections = [[], [], [], []]
-    n = e = 0
-    while e < top:
-        sections[e & 3].append(e >> 2)
-        n += 1
-        e += n
-    precs = []
-    m = top
-    while m > 1:
-        precs.append(m)
-        m = (m + 3) // 4
-    r = 1  # P mod q^m, with m = 1
-    for prec in reversed(precs):
-        low = (prec + 3) // 4  # r has exactly this precision
-        mask = (1 << low) - 1
-        acc = 0
-        for c, exps in enumerate(sections):
-            prod = 0
-            for j in exps[: bisect_left(exps, low)]:
-                prod ^= r << j
-            acc ^= _spread4(prod & mask) << c
-        r = acc & ((1 << prec) - 1)
-    return TruncSeriesF2(r, trunc_degree)
+    # the partial sums of 0, 1, 2, ... are n(n+1)/2, which is <= N
+    # exactly for n < (isqrt(8N+1) + 1) // 2
+    triangular = accumulate(range((isqrt(8 * trunc_degree + 1) + 1) // 2))
+    return _lift(triangular, 4, trunc_degree)
 
 
 def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     """Multiplicative inverse of a parity series with constant term 1.
 
-    Newton lifting in characteristic 2: if t*r = 1 (mod q^m) then
-    r' = t*r^2 satisfies t*r' = (t*r)^2 = 1 (mod q^(2m)). Over GF(2),
-    r^2 = r(q^2), so with t split once as t = A(q^2) + q*B(q^2),
-
-        t*r^2 = spread(A*r) + q*spread(B*r)    (+ is XOR),
-
-    and each round forms A*r and B*r only modulo q^m, on integers half
-    as long as t*r^2. The precisions are N+1, ceil((N+1)/2), ... down
-    to 1, taken from the bottom: each round lifts m to 2m or 2m-1, and
-    the last one ends at N+1 with no overshoot.
+    ``_lift`` with d = 2, where t^(d-1) is t itself: Newton's step
+    r <- t * r^2 with t split once as t = A(q^2) + q*B(q^2).
 
     No table is built through it: ``partition_bits`` gives 1/(q;q) mod 2
     to every parity table, and ``checks.parity_facts`` compares it with
@@ -508,20 +474,4 @@ def inv_f2(t: TruncSeriesF2) -> TruncSeriesF2:
     """
     if not t.bits & 1:
         raise ParameterError("parity inverse needs constant term 1")
-    n = t.trunc_degree
-    even, odd = _even_bits(t.bits), _even_bits(t.bits >> 1)
-    precs = []
-    m = n + 1
-    while m > 1:
-        precs.append(m)
-        m = (m + 1) // 2
-    r = 1  # the inverse mod q^m, with m = 1
-    for prec in reversed(precs):
-        mask = (1 << ((prec + 1) // 2)) - 1  # r has exactly this precision
-        r = _square_bits(_mul_bits(even & mask, r) & mask) | (
-            _square_bits(_mul_bits(odd & mask, r) & mask) << 1
-        )
-        r &= (1 << prec) - 1
-    return TruncSeriesF2(r, n)
-
-
+    return _lift(_set_bits(t.bits), 2, t.trunc_degree)

@@ -11,11 +11,9 @@ from singover.params import SingularParams
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
-    _even_bits,
     _mul_bits,
     _set_bits,
-    _spread4,
-    _square_bits,
+    _spread,
     div,
     eta_product,
     form_bits,
@@ -181,7 +179,7 @@ def test_mul_bits_matches_lowest_bit_loop(x, y):
     assert _mul_bits(x, y) == _mul_bits_by_lowest_bit(x, y)
 
 
-# --- the Newton kernel and the base-4 lift ---------------------------------------
+# --- the GF(2) lift, with d = 2 (Newton) and d = 4 (Jacobi) ----------------------
 
 
 def _spread_by_digits(x, step=2):
@@ -203,23 +201,14 @@ def _inv_by_full_length_newton(t):
     return r
 
 
-def test_square_bits_spreads_every_bit():
-    rng = random.Random(0x5B12)
+@pytest.mark.parametrize("d", [2, 4])
+def test_spread_spreads_every_bit(d):
+    rng = random.Random(0x5B10 + d)
     cases = [0, 1, 1 << 100_000]
-    cases += [rng.getrandbits(w) for w in (1, 7, 8, 9, 15, 16, 17, 64, 1000, 20_001) for _ in range(5)]
-    for x in cases:
-        assert _square_bits(x) == _spread_by_digits(x)
-        # the split t = A(q^2) + q*B(q^2) that inv_f2 makes once per call
-        assert _square_bits(_even_bits(x)) | (_square_bits(_even_bits(x >> 1)) << 1) == x
-
-
-def test_spread4_spreads_every_bit():
-    rng = random.Random(0x5B14)
-    cases = [0, 1, 1 << 100_000]
-    widths = (1, 2, 3, 7, 8, 9, 16, 17, 64, 1000, 20_001)
+    widths = (1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 1000, 20_001)
     cases += [rng.getrandbits(w) for w in widths for _ in range(5)]
     for x in cases:
-        assert _spread4(x) == _spread_by_digits(x, 4)
+        assert _spread(x, d) == _spread_by_digits(x, d)
 
 
 KERNEL_DEGREES = sorted(
@@ -251,6 +240,12 @@ def test_partition_bits_matches_the_newton_inverse(n):
     # KERNEL_DEGREES holds 4^j - 1, 4^j and 4^j + 1, where the base-4
     # precisions turn
     assert partition_bits(n) == inv_f2(form_bits(3, 1, n))
+
+
+@pytest.mark.parametrize("n", [*KERNEL_DEGREES, 10**5, 10**6])
+def test_partition_bits_times_the_pentagonal_bits_is_one(n):
+    # Euler's (q;q) mod 2 times the Jacobi lift, with no lift code on this side
+    assert mul_f2(form_bits(3, 1, n), partition_bits(n)).bits == 1
 
 
 def test_partition_bits_refuses_a_negative_degree():

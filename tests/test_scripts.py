@@ -64,9 +64,9 @@ def test_bench_commands_writes_its_report(tmp_path):
         (["--x", "-1"], "--x must be in [1, 1000000]"),
         (["--x", "1000001"], "--x must be in [1, 1000000]"),
         (["--a-max", "1"], "--a-max must be >= 2"),
-        (["--min-hits", "0", "--a-max", "100", "--x", "50"], "--min-hits must be >= 1"),
+        (["--min-hits", "1", "--a-max", "100", "--x", "50"], "--min-hits must be >= 2"),
         (["--p", "2", "--x", "50"], "modulus k must be >= 3, got 2"),
-        (["--a-max", "2001", "--x", "1000000", "--min-hits", "1"], "--a-max must be <= 2000"),
+        (["--a-max", "2001", "--x", "1000000", "--min-hits", "2"], "--a-max must be <= 2000"),
         # degrees 0..10 in steps of 5 give at most 2 samples, of 4 at most 3
         (
             ["--a-max", "5", "--x", "10", "--min-hits", "3"],
