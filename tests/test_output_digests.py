@@ -61,6 +61,8 @@ REQUESTS = [
     *_formats("verify", "--suite", "intervals", "--p", "13", "--ell-max", "40"),
     ("verify", "--suite", "intervals", "--p", "5", "--ell-max", "120"),
     ("verify", "--suite", "intervals", "--p", "47", "--ell-max", "257"),
+    # the largest l: the request whose parity table shrinks most
+    ("verify", "--suite", "intervals", "--p", "5", "--ell-max", "816"),
     ("verify", "--suite", "intervals", "--p", "10000019", "--ell-max", "20"),
     *_formats("verify", "--suite", "all"),
     *_formats("density", "--p", "5", "--x", "5000"),
