@@ -4,7 +4,9 @@
 Looks for pairs (a, b) such that C-bar_{p,1}(a n + b) has the same
 parity for every sampled n with a n + b <= X. This is a heuristic
 screen only: a progression surviving the scan is a candidate, not a
-theorem, and deeper scans routinely kill candidates.
+theorem, and deeper scans routinely kill candidates. The last line
+counts the classes screened (those with at least --min-hits samples)
+and the survivors among them, to weigh the survivors against chance.
 
     python scripts/scan_progressions.py --p 5 --a-max 24 --x 20000
 """
@@ -55,15 +57,21 @@ def main():
 
     print(f"# candidates for constant parity of C-bar_{{{args.p},1}}(a n + b), "
           f"a n + b <= {args.x} (heuristic, no proof)")
+    screened = survived = 0
     for a in range(2, args.a_max + 1):
         for b in range(a):
             sample = digits[b if b > 0 else a :: a]
             count = len(sample)
             if count < args.min_hits:
                 continue
+            screened += 1
             if "1" not in sample or "0" not in sample:
+                survived += 1
                 parity = "even" if "1" not in sample else "odd"
                 print(f"a={a:<3} b={b:<3} always {parity} over {count} samples")
+    # a class of s samples is constant by chance about 2^(1-s) of the time,
+    # so the survivors are weighed against the classes screened
+    print(f"# {survived} of {screened} classes with >= {args.min_hits} samples survived")
 
 
 if __name__ == "__main__":

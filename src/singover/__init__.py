@@ -13,7 +13,13 @@ through their modules.
 """
 
 from .distribution import parity_census
-from .errors import DiscrepancyError, ParameterError, PreconditionError, SingoverError
+from .errors import (
+    DiscrepancyError,
+    ParameterError,
+    PreconditionError,
+    SingoverError,
+    TableTooShortError,
+)
 from .params import SingularParams
 from .qseries import TruncSeriesF2, TruncSeriesZ
 from .tables import coefficients_product, coefficients_theta, parity_table, special_form
@@ -26,6 +32,7 @@ __all__ = [
     "PreconditionError",
     "SingoverError",
     "SingularParams",
+    "TableTooShortError",
     "TruncSeriesF2",
     "TruncSeriesZ",
     "coefficients_product",

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import parity, tables
 from . import qseries as qs
-from .errors import PreconditionError, SingoverError
+from .errors import PreconditionError, SingoverError, TableTooShortError
 from .oracle import MAX_CAP, dp_table
 from .params import SingularParams
 
@@ -138,10 +138,21 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     An l whose target lies on the form for i = 1 is outside the
     guarantee: it is skipped, not failed. For a prime p the exclusions
     leave no such l. A check that checked no l does not pass.
+
+    The proof's degrees begin at each interval's low end, so the
+    witnesses lie just past it. The parity table therefore starts at
+    twice the largest low end, 2(2 ell_max - 1), not at the top
+    ell_max(3 ell_max + 1)/2. An interval that runs past the table with
+    no witness before its end doubles the degree, up to the top, and
+    is asked again. Parity tables are prefix-stable, so a deeper table
+    moves no witness found before; an interval fails only once the
+    table covers it.
     """
     parity._require_prime(p)
     params = SingularParams(p, 1)
-    table = tables.parity_table(params, ell_max * (3 * ell_max + 1) // 2)
+    top = ell_max * (3 * ell_max + 1) // 2
+    # an ell_max below 1 reads no interval, and its table is degree 0
+    table = tables.parity_table(params, max(min(2 * (2 * ell_max - 1), top), 0))
     results = []
     for variant, finder in (
         ("even", parity.find_even_in_interval),
@@ -149,16 +160,21 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     ):
         found, failures, skipped = [], [], []
         for ell in range(parity.FIRST_ELL[variant], ell_max + 1, 3):
-            try:
-                w = finder(params, ell, table)
-            except PreconditionError:
-                skipped.append(ell)
-            except SingoverError as exc:
-                failures.append({"ell": ell, "error": str(exc)})
-            else:
-                found.append(
-                    {"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell}
-                )
+            while True:
+                try:
+                    w = finder(params, ell, table)
+                except TableTooShortError:
+                    table = tables.parity_table(params, min(2 * table.trunc_degree, top))
+                    continue
+                except PreconditionError:
+                    skipped.append(ell)
+                except SingoverError as exc:
+                    failures.append({"ell": ell, "error": str(exc)})
+                else:
+                    found.append(
+                        {"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell}
+                    )
+                break
         results.append(
             {
                 "name": f"{variant}-witness-p{p}-ell{ell_max}",

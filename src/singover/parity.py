@@ -21,7 +21,11 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 * ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
   guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
   Their precondition refuses an l only when ``_residue_witness`` finds
-  the target on the form of the caller's own i.
+  the target on the form of the caller's own i. They read a table only
+  up to its end: the proof's degrees begin at the low end, so the
+  smallest witness lies just past it, and a table that ends inside an
+  interval still answers when the witness lies before its end. If none
+  does, ``TableTooShortError`` asks the caller for a deeper table.
 * ``FIRST_ELL`` holds the first l of each variant, where the exclusion
   scan, the interval checks and the witness sequences start.
 
@@ -38,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from . import qseries as qs
-from .errors import DiscrepancyError, ParameterError, PreconditionError
+from .errors import DiscrepancyError, ParameterError, PreconditionError, TableTooShortError
 from .params import SingularParams
 
 # The smallest l >= 2 in each variant's class mod 3 (l = 1 for even,
@@ -192,17 +196,29 @@ class ParityWitness:
 
 
 def _scan_interval(params, table, lo, hi, want_bit, ell) -> ParityWitness:
-    """The smallest n in [lo, hi] with table parity want_bit, read as one
-    window of bits: the lowest set bit of the window (odd) or of its
-    complement (even). An interval with none raises DiscrepancyError,
-    whose message names the parity, (k, i), lo, hi and l."""
-    found = table.window(lo, hi)
+    """The smallest n in [lo, hi] with table parity want_bit.
+
+    Only the covered part [lo, min(hi, N)] of a table of degree N is
+    read, as one window of bits: the lowest set bit of the window (odd)
+    or of its complement (even). A witness there is the interval's
+    smallest, whatever lies past N. With none there, an interval that
+    runs past N raises TableTooShortError, since a deeper table may
+    still hold one; a covered interval raises DiscrepancyError, whose
+    message names the parity, (k, i), lo, hi and l.
+    """
+    end = min(hi, table.trunc_degree)
+    width = max(end - lo + 1, 0)
+    found = table.window(lo, end) if width else 0
     if not want_bit:
-        found ^= (1 << (hi - lo + 1)) - 1
+        found ^= (1 << width) - 1
     parity = "odd" if want_bit else "even"
     if found:
         n = lo + (found & -found).bit_length() - 1
         return ParityWitness(params, n, parity, lo, hi, ell)
+    if end < hi:
+        raise TableTooShortError(
+            f"table degree {table.trunc_degree} does not cover the interval [{lo}, {hi}]"
+        )
     raise DiscrepancyError(
         f"no {parity} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
         f"(l = {ell}); this contradicts a proven statement"
@@ -227,7 +243,8 @@ def find_even_in_interval(params: SingularParams, ell: int, table) -> ParityWitn
     Requires l(3l+1) to avoid the quadratic form of params.i (checked
     here); the form of another residue does not touch the guarantee.
     Existence is then guaranteed; an exhausted interval raises
-    DiscrepancyError.
+    DiscrepancyError, and one cut short by the table's end with no
+    witness before it raises TableTooShortError.
     """
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")

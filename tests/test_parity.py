@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from singover import checks, tables
 from singover import qseries as qs
-from singover.errors import DiscrepancyError, ParameterError, PreconditionError
+from singover.errors import (
+    DiscrepancyError,
+    ParameterError,
+    PreconditionError,
+    TableTooShortError,
+)
 from singover.params import SingularParams
 from singover.parity import (
     FIRST_ELL,
@@ -555,9 +560,90 @@ def test_precondition_at_the_largest_l_is_fast():
 
 
 def test_witness_table_too_short():
+    # the even witness of l = 4 is n = 6: a table that ends inside [4, 26]
+    # still answers when the witness lies before its end, and asks for a
+    # deeper table when none does; a short table is bad input (exit 2)
     params = SingularParams(5, 1)
-    with pytest.raises(ParameterError, match=r"does not cover the interval \[4, 26\]$"):
-        find_even_in_interval(params, 4, parity_table(params, 20))
+    full = find_even_in_interval(params, 4, parity_table(params, 26))
+    assert full == ParityWitness(params, 6, "even", 4, 26, 4)
+    for n_max in (6, 20):
+        assert find_even_in_interval(params, 4, parity_table(params, n_max)) == full
+    for n_max in (0, 3, 5):
+        with pytest.raises(
+            TableTooShortError,
+            match=rf"^table degree {n_max} does not cover the interval \[4, 26\]$",
+        ):
+            find_even_in_interval(params, 4, parity_table(params, n_max))
+    assert issubclass(TableTooShortError, ParameterError)
+
+
+def _full_depth_report(p, ell_max):
+    """The intervals report read off one table built to the top degree."""
+    params = SingularParams(p, 1)
+    table = tables.parity_table(params, ell_max * (3 * ell_max + 1) // 2)
+    results = []
+    for variant, finder in (("even", find_even_in_interval), ("odd", find_odd_in_interval)):
+        found, failures, skipped = [], [], []
+        for ell in range(FIRST_ELL[variant], ell_max + 1, 3):
+            try:
+                w = finder(params, ell, table)
+            except PreconditionError:
+                skipped.append(ell)
+            except DiscrepancyError as exc:
+                failures.append({"ell": ell, "error": str(exc)})
+            else:
+                found.append({"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell})
+        results.append(
+            {
+                "name": f"{variant}-witness-p{p}-ell{ell_max}",
+                "passed": bool(found) and not failures,
+                "detail": {
+                    "witnesses": found,
+                    "failures": failures,
+                    "failure_count": len(failures),
+                    "skipped": skipped[:10],
+                    "skipped_count": len(skipped),
+                },
+            }
+        )
+    return results
+
+
+# the primes of the benchmark's parity workload
+PARITY_COLD_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@pytest.mark.parametrize(
+    "p,ell_max",
+    [(p, ell_max) for p in PARITY_COLD_PRIMES for ell_max in (4, 13, 40, 257)] + [(5, 816)],
+)
+def test_intervals_report_equals_the_full_depth_report(p, ell_max):
+    # the suite's table starts at twice the largest low end and grows on
+    # demand; its report is the one a table built to the top gives
+    assert checks.intervals(p, ell_max) == _full_depth_report(p, ell_max)
+
+
+def test_intervals_grow_the_table_to_the_top_on_a_planted_odd_tail(monkeypatch):
+    # every value from degree 200 on planted odd: the even intervals that
+    # start there hold no even value, so the table must grow to the top
+    # before they fail, and each fails with the full-table record
+    ell_max, top = 300, 300 * 901 // 2
+    real, builds = tables.parity_table, []
+
+    def planted(params, n_max):
+        builds.append(n_max)
+        tail = ((1 << (n_max + 1)) - 1) >> 200 << 200
+        return qs.TruncSeriesF2(real(params, n_max).bits | tail, n_max)
+
+    monkeypatch.setattr(tables, "parity_table", planted)
+    expected = _full_depth_report(5, ell_max)
+    assert expected[0]["detail"]["failure_count"] == 34
+    assert expected[1]["passed"]
+    builds.clear()
+    assert checks.intervals(5, ell_max) == expected
+    assert builds[0] == 2 * (2 * ell_max - 1)
+    assert builds[-1] == top
+    assert builds == [min(builds[0] << j, top) for j in range(len(builds))]
 
 
 def test_witness_discrepancy_on_fabricated_table():
@@ -606,8 +692,16 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
             f"no {parity} value of C-bar_{{5,1}} in [{lo}, {hi}] (l = 4); "
             "this contradicts a proven statement"
         )
-    with pytest.raises(ParameterError, match="does not cover the interval"):
-        _scan_interval(params, _fabricated(kind, every, hi - 1), lo, hi, 1, 4)
+    # a table that ends inside [lo, hi] is read up to its end: a witness
+    # there is returned, and with none there the table is too short
+    short = hi - 1
+    assert _scan_interval(params, _fabricated(kind, every, short), lo, hi, 1, 4).n == lo
+    evens = every - {short}
+    assert _scan_interval(params, _fabricated(kind, evens, short), lo, hi, 0, 4).n == short
+    for odd_degrees, want_bit in ((every, 0), (set(), 1)):
+        with pytest.raises(TableTooShortError) as exc:
+            _scan_interval(params, _fabricated(kind, odd_degrees, short), lo, hi, want_bit, 4)
+        assert str(exc.value) == f"table degree {short} does not cover the interval [{lo}, {hi}]"
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])

@@ -95,3 +95,24 @@ def test_scan_progressions_reads_the_largest_a_that_reaches_min_hits():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("# candidates for constant parity")
+
+
+def test_scan_progressions_counts_the_classes_it_screened():
+    # a class (a, b) over degrees 0..x holds len(range(b or a, x + 1, a))
+    # samples; each one with --min-hits of them is screened, and each
+    # survivor line is one constant class among those
+    a_max, x, min_hits = 24, 2000, 20
+    done = run_script(
+        ["scripts/scan_progressions.py", "--p", "7", "--a-max", str(a_max), "--x", str(x),
+         "--min-hits", str(min_hits)]
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    screened = sum(
+        len(range(b or a, x + 1, a)) >= min_hits for a in range(2, a_max + 1) for b in range(a)
+    )
+    survivors = [line for line in lines if " always " in line]
+    assert survivors and lines[1:-1] == survivors
+    assert lines[-1] == (
+        f"# {len(survivors)} of {screened} classes with >= {min_hits} samples survived"
+    )
