@@ -13,13 +13,7 @@ through their modules.
 """
 
 from .distribution import parity_census
-from .errors import (
-    DiscrepancyError,
-    ParameterError,
-    PreconditionError,
-    SingoverError,
-    TableTooShortError,
-)
+from .errors import DiscrepancyError, ParameterError, PreconditionError, SingoverError
 from .params import SingularParams
 from .qseries import TruncSeriesF2, TruncSeriesZ
 from .tables import coefficients_product, coefficients_theta, parity_table, special_form
@@ -32,7 +26,6 @@ __all__ = [
     "PreconditionError",
     "SingoverError",
     "SingularParams",
-    "TableTooShortError",
     "TruncSeriesF2",
     "TruncSeriesZ",
     "coefficients_product",

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import parity, tables
 from . import qseries as qs
-from .errors import PreconditionError, SingoverError, TableTooShortError
+from .errors import PreconditionError, SingoverError
 from .oracle import MAX_CAP, dp_table
 from .params import SingularParams
 
@@ -143,10 +143,10 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     witnesses lie just past it. The parity table therefore starts at
     twice the largest low end, 2(2 ell_max - 1), not at the top
     ell_max(3 ell_max + 1)/2. An interval that runs past the table with
-    no witness before its end doubles the degree, up to the top, and
-    is asked again. Parity tables are prefix-stable, so a deeper table
-    moves no witness found before; an interval fails only once the
-    table covers it.
+    no witness before its end, for which the finder returns None,
+    doubles the degree, up to the top, and is asked again. Parity tables
+    are prefix-stable, so a deeper table moves no witness found before;
+    an interval fails only once the table covers it.
     """
     parity._require_prime(p)
     params = SingularParams(p, 1)
@@ -160,21 +160,16 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     ):
         found, failures, skipped = [], [], []
         for ell in range(parity.FIRST_ELL[variant], ell_max + 1, 3):
-            while True:
-                try:
-                    w = finder(params, ell, table)
-                except TableTooShortError:
+            try:
+                while (n := finder(params, ell, table)) is None:
                     table = tables.parity_table(params, min(2 * table.trunc_degree, top))
-                    continue
-                except PreconditionError:
-                    skipped.append(ell)
-                except SingoverError as exc:
-                    failures.append({"ell": ell, "error": str(exc)})
-                else:
-                    found.append(
-                        {"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell}
-                    )
-                break
+            except PreconditionError:
+                skipped.append(ell)
+            except SingoverError as exc:
+                failures.append({"ell": ell, "error": str(exc)})
+            else:
+                lo, hi = parity.interval(variant, ell)
+                found.append({"n": n, "parity": variant, "lo": lo, "hi": hi, "ell": ell})
         results.append(
             {
                 "name": f"{variant}-witness-p{p}-ell{ell_max}",

@@ -17,24 +17,15 @@ from .errors import ParameterError
 from .params import SingularParams
 from .parity import (
     FIRST_ELL,
-    ParityWitness,
     _require_prime,
     find_even_in_interval,
     find_odd_in_interval,
+    interval,
 )
 
 # Index of the first term: the even variant is written a_0, a_1, ...,
 # the odd variant a_1, a_2, ...
 _START_INDEX = {"even": 0, "odd": 1}
-
-
-def next_term(variant: str, a: int) -> int:
-    """One recurrence step: a(3a+1)/2 for even, a(3a-1)/2 for odd."""
-    if variant == "even":
-        return a * (3 * a + 1) // 2
-    if variant == "odd":
-        return a * (3 * a - 1) // 2
-    raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +86,7 @@ class WitnessSequence:
 
 
 def _check_seed(variant: str, seed: int) -> None:
-    if variant not in FIRST_ELL:
-        raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
+    interval(variant, seed)  # refuses an unknown variant
     if seed < 2 or seed % 3 != FIRST_ELL[variant] % 3:
         raise ParameterError(
             f"{variant} variant needs a seed >= 2 with seed = "
@@ -107,6 +97,8 @@ def _check_seed(variant: str, seed: int) -> None:
 def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
     """Iterate the recurrence from the seed until the next term passes X.
 
+    The step from a is the upper end of ``parity.interval(variant, a)``.
+
     The even variant needs seed = 1 mod 3, the odd variant seed = 2
     mod 3, both >= 2; the mod-3 residues then keep every generated
     interval eligible for its parity-witness guarantee.
@@ -116,7 +108,7 @@ def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
         raise ParameterError(f"cutoff {cutoff} is below the seed {seed}")
     terms = [seed]
     while True:
-        nxt = next_term(variant, terms[-1])
+        nxt = interval(variant, terms[-1])[1]
         if nxt > cutoff:
             break
         terms.append(nxt)
@@ -134,8 +126,8 @@ def parity_census(p: int, cutoff: int) -> dict:
     two counts, the two nu, the two floors and whether each count
     dominates its floor; a false flag is a failed proven statement.
     """
-    params = SingularParams(p, 1)
     _require_prime(p)
+    params = SingularParams(p, 1)
     if cutoff < FIRST_ELL["even"]:
         raise ParameterError(f"X must be >= {FIRST_ELL['even']}, got {cutoff}")
     nu_even = build_sequence("even", FIRST_ELL["even"], cutoff).nu
@@ -162,7 +154,7 @@ def interval_cover_check(
     cutoff: int,
     params: SingularParams,
     table,
-) -> list[ParityWitness]:
+) -> list[tuple[int, int]]:
     """Find the guaranteed parity witness in each sequence interval.
 
     Even variant searches [a_{2m}, a_{2m+1}] for even values, odd
@@ -170,16 +162,17 @@ def interval_cover_check(
     below the cutoff. Only intervals the table covers in full carry the
     guarantee, so the first interval whose upper end lies past the
     table ends the walk. Each interval is the interval finder's for
-    l = a_j, precondition included, and must yield a witness.
+    l = a_j, precondition included, and must yield a witness. Returns
+    the pairs (l, n) of each l and its smallest witness n.
     """
     _check_seed(variant, seed)
     finder = find_even_in_interval if variant == "even" else find_odd_in_interval
     witnesses = []
     a = seed
     while a <= cutoff:
-        nxt = next_term(variant, a)
+        nxt = interval(variant, a)[1]
         if nxt > table.trunc_degree:
             break
-        witnesses.append(finder(params, a, table))
-        a = next_term(variant, nxt) if variant == "even" else nxt
+        witnesses.append((a, finder(params, a, table)))
+        a = interval(variant, nxt)[1] if variant == "even" else nxt
     return witnesses

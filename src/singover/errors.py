@@ -3,12 +3,12 @@
 ``ParameterError`` is bad input: a value outside its documented range,
 series of different truncation degrees, a divisor without a unit
 constant term, or a table that does not cover the degrees read; the
-command line exits 2. ``TableTooShortError`` is the short table a
-caller can mend: an interval runs past the table's end with no witness
-before it, so a deeper table may still hold one. ``PreconditionError``
-is a hypothesis of a theorem that does not hold, so the case is
-skipped. ``DiscrepancyError`` is a proven statement that failed; the
-command line exits 1.
+command line exits 2. ``PreconditionError`` is a hypothesis of a
+theorem that does not hold, so the case is skipped.
+``DiscrepancyError`` is a proven statement that failed; the command
+line exits 1. A parity table that ends inside an interval with no
+witness before its end raises nothing: the interval finders return
+None, and the caller may build a deeper table.
 """
 
 
@@ -18,10 +18,6 @@ class SingoverError(Exception):
 
 class ParameterError(SingoverError, ValueError):
     """A parameter lies outside its documented range."""
-
-
-class TableTooShortError(ParameterError):
-    """A parity table ends inside an interval, with no witness before its end."""
 
 
 class PreconditionError(SingoverError, ValueError):

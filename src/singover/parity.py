@@ -18,16 +18,21 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   serves ``exclusion_counterexamples``, which asks it for every l of
   the form exclusions l(3l +- 1) and counts a hit at i = 1, and the
   precondition of the interval finders below.
-* ``find_even_in_interval`` and ``find_odd_in_interval`` locate the
-  guaranteed parity witnesses in [l, l(3l+1)/2] and [2l-1, l(3l-1)/2].
-  Their precondition refuses an l only when ``_residue_witness`` finds
-  the target on the form of the caller's own i. They read a table only
-  up to its end: the proof's degrees begin at the low end, so the
-  smallest witness lies just past it, and a table that ends inside an
-  interval still answers when the witness lies before its end. If none
-  does, ``TableTooShortError`` asks the caller for a deeper table.
-* ``FIRST_ELL`` holds the first l of each variant, where the exclusion
-  scan, the interval checks and the witness sequences start.
+* ``interval`` gives each variant's interval, [l, l(3l+1)/2] (even)
+  or [2l-1, l(3l-1)/2] (odd). Its ``_sign`` is the one place a variant
+  name is checked. With s = +1 (even) or -1 (odd), the upper end
+  l(3l+s)/2 is also the next term of the variant's witness sequence,
+  and twice it is the exclusion target l(3l+s). ``FIRST_ELL`` holds the
+  first l of each variant, where the exclusion scan, the interval
+  checks and the witness sequences start.
+* ``find_even_in_interval`` and ``find_odd_in_interval`` return the
+  smallest degree n of the variant's parity in its interval. Their
+  precondition refuses an l only when ``_residue_witness`` finds the
+  target on the form of the caller's own i. They read a table only up
+  to its end: the proof's degrees begin at the low end, so the smallest
+  witness lies just past it, and a table that ends inside an interval
+  still answers when the witness lies before its end. If none does,
+  they return None, and a deeper table may still hold one.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -39,15 +44,31 @@ admissible (k, i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import qseries as qs
-from .errors import DiscrepancyError, ParameterError, PreconditionError, TableTooShortError
+from .errors import DiscrepancyError, ParameterError, PreconditionError
 from .params import SingularParams
 
-# The smallest l >= 2 in each variant's class mod 3 (l = 1 for even,
-# l = 2 for odd), the classes where the p-exclusions hold.
+# Each variant's sign s in l(3l+s), and its first l: the smallest l >= 2
+# in its class mod 3 (l = 1 for even, l = 2 for odd), the classes where
+# the p-exclusions hold.
+_SIGN = {"even": 1, "odd": -1}
 FIRST_ELL = {"even": 4, "odd": 2}
+
+
+def _sign(variant: str) -> int:
+    """The variant's sign s, or ParameterError for an unknown variant."""
+    if variant not in _SIGN:
+        raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
+    return _SIGN[variant]
+
+
+def interval(variant: str, ell: int) -> tuple[int, int]:
+    """The variant's interval (lo, hi) at l: [l, l(3l+1)/2] for even,
+    [2l-1, l(3l-1)/2] for odd. hi is the witness sequence's step from
+    l, and 2 hi = l(3l+s) the target the exclusions keep off the form."""
+    s = _sign(variant)
+    return ell if s > 0 else 2 * ell - 1, ell * (3 * ell + s) // 2
 
 
 def exceptional_set(params: SingularParams, bound: int) -> dict[int, tuple]:
@@ -168,60 +189,45 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     that l(3l-1), l = 2 mod 3, is not p m^2 +- m(p-2) for any m >= 1.
     Both hold for every prime p >= 5, so the expected result is the
     empty list; each l costs one integer square root in
-    ``_residue_witness``, and a hit counts only at residue i = 1.
+    ``_residue_witness``, and a hit counts only at residue i = 1. An
+    ell_max below the variant's first l, which would check no l, is
+    refused.
     """
-    if variant not in FIRST_ELL:
-        raise ParameterError(f"variant must be 'even' or 'odd', got {variant!r}")
-    sign = 1 if variant == "even" else -1
+    s = _sign(variant)
     _require_prime(p)
-    if ell_max < 2:
-        raise ParameterError(f"ell_max must be >= 2, got {ell_max}")
+    first = FIRST_ELL[variant]
+    if ell_max < first:
+        raise ParameterError(f"ell_max must be >= {first} for {variant}, got {ell_max}")
     return [
         l
-        for l in range(FIRST_ELL[variant], ell_max + 1, 3)
-        if (hit := _residue_witness(p, l * (3 * l + sign))) and hit[0] == 1
+        for l in range(first, ell_max + 1, 3)
+        if (hit := _residue_witness(p, l * (3 * l + s))) and hit[0] == 1
     ]
 
 
-@dataclass(frozen=True)
-class ParityWitness:
-    """A located n in [lo, hi] whose table value has the stated parity."""
-
-    params: SingularParams
-    n: int
-    parity: str  # "even" | "odd"
-    lo: int
-    hi: int
-    ell: int
-
-
-def _scan_interval(params, table, lo, hi, want_bit, ell) -> ParityWitness:
+def _scan_interval(params, table, lo, hi, want_bit, ell) -> int | None:
     """The smallest n in [lo, hi] with table parity want_bit.
 
     Only the covered part [lo, min(hi, N)] of a table of degree N is
     read, as one window of bits: the lowest set bit of the window (odd)
     or of its complement (even). A witness there is the interval's
     smallest, whatever lies past N. With none there, an interval that
-    runs past N raises TableTooShortError, since a deeper table may
-    still hold one; a covered interval raises DiscrepancyError, whose
-    message names the parity, (k, i), lo, hi and l.
+    runs past N gives None, since a deeper table may still hold one; a
+    covered interval raises DiscrepancyError, whose message names the
+    parity, (k, i), lo, hi and l.
     """
     end = min(hi, table.trunc_degree)
     width = max(end - lo + 1, 0)
     found = table.window(lo, end) if width else 0
     if not want_bit:
         found ^= (1 << width) - 1
-    parity = "odd" if want_bit else "even"
     if found:
-        n = lo + (found & -found).bit_length() - 1
-        return ParityWitness(params, n, parity, lo, hi, ell)
+        return lo + (found & -found).bit_length() - 1
     if end < hi:
-        raise TableTooShortError(
-            f"table degree {table.trunc_degree} does not cover the interval [{lo}, {hi}]"
-        )
+        return None
     raise DiscrepancyError(
-        f"no {parity} value of C-bar_{{{params.k},{params.i}}} in [{lo}, {hi}] "
-        f"(l = {ell}); this contradicts a proven statement"
+        f"no {'odd' if want_bit else 'even'} value of C-bar_{{{params.k},{params.i}}} "
+        f"in [{lo}, {hi}] (l = {ell}); this contradicts a proven statement"
     )
 
 
@@ -237,26 +243,27 @@ def _require_excluded(params: SingularParams, target: int) -> None:
     )
 
 
-def find_even_in_interval(params: SingularParams, ell: int, table) -> ParityWitness:
-    """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0.
+def _find_in_interval(variant: str, params: SingularParams, ell: int, table) -> int | None:
+    """Smallest n in ``interval(variant, l)`` of the variant's parity.
 
-    Requires l(3l+1) to avoid the quadratic form of params.i (checked
-    here); the form of another residue does not touch the guarantee.
-    Existence is then guaranteed; an exhausted interval raises
-    DiscrepancyError, and one cut short by the table's end with no
-    witness before it raises TableTooShortError.
+    Requires the target l(3l+s) to avoid the quadratic form of params.i
+    (checked here); the form of another residue does not touch the
+    guarantee. Existence is then guaranteed: an exhausted interval
+    raises DiscrepancyError, and one cut short by the table's end with
+    no witness before it gives None.
     """
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
-    t = ell * (3 * ell + 1)
-    _require_excluded(params, t)
-    return _scan_interval(params, table, ell, t // 2, 0, ell)
+    lo, hi = interval(variant, ell)
+    _require_excluded(params, 2 * hi)
+    return _scan_interval(params, table, lo, hi, variant == "odd", ell)
 
 
-def find_odd_in_interval(params: SingularParams, ell: int, table) -> ParityWitness:
+def find_even_in_interval(params: SingularParams, ell: int, table) -> int | None:
+    """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0."""
+    return _find_in_interval("even", params, ell, table)
+
+
+def find_odd_in_interval(params: SingularParams, ell: int, table) -> int | None:
     """Smallest n in [2l-1, l(3l-1)/2] whose bit in the parity table is 1."""
-    if ell < 2:
-        raise ParameterError(f"l must be >= 2, got {ell}")
-    t = ell * (3 * ell - 1)
-    _require_excluded(params, t)
-    return _scan_interval(params, table, 2 * ell - 1, t // 2, 1, ell)
+    return _find_in_interval("odd", params, ell, table)

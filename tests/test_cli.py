@@ -391,7 +391,8 @@ def test_density_rejects_too_small_p_before_building_the_table(capsys, monkeypat
     built = []
     monkeypatch.setattr(tables, "parity_table", lambda params, n: built.append(n))
     code, out, err = run_cli(["density", "--p", p, "--x", "1000000"], capsys)
-    assert code == 2 and out == "" and err.startswith("parameter error: ")
+    assert code == 2 and out == ""
+    assert err == f"parameter error: p must be a prime >= 5, got {p}\n"
     assert built == []
 
 

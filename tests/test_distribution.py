@@ -8,11 +8,11 @@ from singover import tables
 from singover.distribution import (
     build_sequence,
     interval_cover_check,
-    next_term,
     parity_census,
 )
 from singover.errors import ParameterError
 from singover.params import SingularParams
+from singover.parity import interval
 from singover.qseries import TruncSeriesF2
 from singover.tables import coefficients_theta, parity_table
 
@@ -21,7 +21,13 @@ def test_even_sequence_small():
     seq = build_sequence("even", 4, 1000)
     assert seq.terms == (4, 26)  # 26 = 4*13/2; next is 26*79/2 = 1027
     assert seq.nu == 1
-    assert next_term("even", 26) == 1027
+    assert interval("even", 26) == (26, 1027)
+    # the paper's even interval, whose upper end is the sequence's step
+    for ell in range(2, 201):
+        lo, hi = interval("even", ell)
+        assert (lo, hi) == (ell, ell * (3 * ell + 1) // 2)
+        if ell % 3 == 1:
+            assert build_sequence("even", ell, hi).terms[:2] == (ell, hi)
 
 
 def test_odd_sequence_small():
@@ -29,6 +35,12 @@ def test_odd_sequence_small():
     assert seq.terms == (2, 5, 35, 1820)  # a(3a-1)/2 iterated
     assert seq.nu == 4  # odd-variant indices start at 1
     assert all(a % 3 == 2 for a in seq.terms)
+    # the paper's odd interval, whose upper end is the sequence's step
+    for ell in range(2, 201):
+        lo, hi = interval("odd", ell)
+        assert (lo, hi) == (2 * ell - 1, ell * (3 * ell - 1) // 2)
+        if ell % 3 == 2:
+            assert build_sequence("odd", ell, hi).terms[:2] == (ell, hi)
 
 
 def test_sequence_validation():
@@ -38,10 +50,12 @@ def test_sequence_validation():
         build_sequence("odd", 4, 100)
     with pytest.raises(ParameterError):
         build_sequence("odd", 2, 1)  # cutoff below seed
-    with pytest.raises(ParameterError):
-        build_sequence("both", 4, 100)
-    with pytest.raises(ParameterError):
-        next_term("neither", 4)
+    for bad in ("both", "neither", "Even", ""):
+        message = f"^variant must be 'even' or 'odd', got {bad!r}$"
+        with pytest.raises(ParameterError, match=message):
+            build_sequence(bad, 4, 100)
+        with pytest.raises(ParameterError, match=message):
+            interval(bad, 4)
 
 
 EVEN_SEEDS = st.sampled_from([4, 7, 10, 13, 16, 19, 22])
@@ -118,23 +132,23 @@ def test_census_validation(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p,cutoff,seeds",
+    "p,cutoff",
     [
-        (1, 10, {}),
-        (2, 10, {}),
-        (3, 10, {}),
-        (4, 10, {}),
-        (9, 10, {}),
-        (25, 10, {}),
-        (5, 0, {}),
-        (5, 3, {}),  # below the even sequence's first term 4
+        (1, 10),
+        (2, 10),
+        (3, 10),
+        (4, 10),
+        (9, 10),
+        (25, 10),
+        (5, 0),
+        (5, 3),  # below the even sequence's first term 4
     ],
 )
-def test_census_validates_its_input_before_building_the_table(monkeypatch, p, cutoff, seeds):
+def test_census_validates_its_input_before_building_the_table(monkeypatch, p, cutoff):
     built = []
     monkeypatch.setattr(tables, "parity_table", lambda params, n: built.append(n))
     with pytest.raises(ParameterError):
-        parity_census(p, cutoff, **seeds)
+        parity_census(p, cutoff)
     assert built == []
 
 
@@ -152,21 +166,26 @@ def test_interval_cover_even():
     table = parity_table(params, 2000)
     witnesses = interval_cover_check("even", 4, 1500, params, table)
     # [1027, 1582607] lies past the table, so the walk ends before it
-    assert [(w.lo, w.hi) for w in witnesses] == [(4, 26)]
+    assert [ell for ell, _ in witnesses] == [4]
     exact = coefficients_theta(params, 2000).coeffs
-    for w in witnesses:
-        assert w.lo <= w.n <= w.hi
-        assert exact[w.n] % 2 == 0
+    for ell, n in witnesses:
+        lo, hi = interval("even", ell)
+        assert lo <= n <= hi
+        assert exact[n] % 2 == 0
+        assert all(exact[m] % 2 == 1 for m in range(lo, n))
 
 
 def test_interval_cover_odd():
     params = SingularParams(5, 1)
     table = parity_table(params, 2000)
     witnesses = interval_cover_check("odd", 2, 100, params, table)
-    assert [(w.lo, w.hi) for w in witnesses] == [(3, 5), (9, 35), (69, 1820)]
+    assert [interval("odd", ell) for ell, _ in witnesses] == [(3, 5), (9, 35), (69, 1820)]
     exact = coefficients_theta(params, 2000).coeffs
-    for w in witnesses:
-        assert exact[w.n] % 2 == 1
+    for ell, n in witnesses:
+        lo, hi = interval("odd", ell)
+        assert lo <= n <= hi
+        assert exact[n] % 2 == 1
+        assert all(exact[m] % 2 == 0 for m in range(lo, n))
 
 
 def test_interval_cover_clipped_to_table():
@@ -174,7 +193,7 @@ def test_interval_cover_clipped_to_table():
     params = SingularParams(5, 1)
     assert interval_cover_check("odd", 2, 4, params, parity_table(params, 4)) == []
     witnesses = interval_cover_check("odd", 2, 4, params, parity_table(params, 5))
-    assert [(w.lo, w.hi, w.parity) for w in witnesses] == [(3, 5, "odd")]
+    assert witnesses == [(2, 3)]  # C-bar_{5,1}(3) is the first odd value in [3, 5]
 
 
 def test_interval_cover_ends_before_a_partial_interval():

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from singover import checks, tables
 from singover import qseries as qs
-from singover.errors import (
-    DiscrepancyError,
-    ParameterError,
-    PreconditionError,
-    TableTooShortError,
-)
+from singover.errors import DiscrepancyError, ParameterError, PreconditionError
 from singover.params import SingularParams
 from singover.parity import (
     FIRST_ELL,
-    ParityWitness,
     convolution_mismatches,
     convolution_parity_check,
     exceptional_set,
@@ -27,6 +21,7 @@ from singover.parity import (
     find_even_in_interval,
     find_odd_in_interval,
     first_convolution_mismatch,
+    interval,
     _require_excluded,
     _require_prime,
     _residue_witness,
@@ -347,10 +342,17 @@ def test_exclusion_validation():
         exclusion_counterexamples(25, 10, "odd")  # odd square
     with pytest.raises(ParameterError):
         exclusion_counterexamples(3, 10, "even")  # p below 5
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^variant must be 'even' or 'odd', got 'sideways'$"):
         exclusion_counterexamples(5, 10, "sideways")
-    with pytest.raises(ParameterError):
-        exclusion_counterexamples(5, 1, "odd")
+    # below a variant's first l the scan would check no l and pass
+    for variant, first in FIRST_ELL.items():
+        for ell_max in range(first):
+            message = f"^ell_max must be >= {first} for {variant}, got {ell_max}$"
+            with pytest.raises(ParameterError, match=message):
+                exclusion_counterexamples(5, ell_max, variant)
+        assert exclusion_counterexamples(5, first, variant) == []
+    with pytest.raises(ParameterError, match="^ell_max must be >= 4 for even, got 3$"):
+        checks.exclusions(5, 3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -433,12 +435,11 @@ def test_even_witness_exists(p, ell):
     hi = ell * (3 * ell + 1) // 2
     table = parity_table(params, hi)
     w = find_even_in_interval(params, ell, table)
-    assert ell <= w.n <= hi
-    assert w.parity == "even"
+    assert ell <= w <= hi
     # independently recomputed parity and minimality
     exact = coefficients_theta(params, hi).coeffs
-    assert exact[w.n] % 2 == 0
-    assert all(exact[n] % 2 == 1 for n in range(ell, w.n))
+    assert exact[w] % 2 == 0
+    assert all(exact[n] % 2 == 1 for n in range(ell, w))
 
 
 @pytest.mark.parametrize("p,ell", [(5, 2), (7, 5), (11, 8)])
@@ -447,11 +448,10 @@ def test_odd_witness_exists(p, ell):
     hi = ell * (3 * ell - 1) // 2
     table = parity_table(params, hi)
     w = find_odd_in_interval(params, ell, table)
-    assert 2 * ell - 1 <= w.n <= hi
-    assert w.parity == "odd"
+    assert 2 * ell - 1 <= w <= hi
     exact = coefficients_theta(params, hi).coeffs
-    assert exact[w.n] % 2 == 1
-    assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w.n))
+    assert exact[w] % 2 == 1
+    assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w))
 
 
 def test_witness_precondition_gate():
@@ -468,7 +468,8 @@ def test_witness_precondition_asks_only_its_own_residue():
     params = SingularParams(5, 1)
     table = parity_table(params, 9 * 28 // 2)
     assert _residue_witness(5, 252) == (2, 7, +1)
-    assert find_even_in_interval(params, 9, table).parity == "even"
+    w = find_even_in_interval(params, 9, table)
+    assert 9 <= w <= 126 and not bit(table, w)
 
 
 def residue_walk(k, target):
@@ -561,20 +562,14 @@ def test_precondition_at_the_largest_l_is_fast():
 
 def test_witness_table_too_short():
     # the even witness of l = 4 is n = 6: a table that ends inside [4, 26]
-    # still answers when the witness lies before its end, and asks for a
-    # deeper table when none does; a short table is bad input (exit 2)
+    # still answers when the witness lies before its end, and returns
+    # None, asking for a deeper table, when none does
     params = SingularParams(5, 1)
-    full = find_even_in_interval(params, 4, parity_table(params, 26))
-    assert full == ParityWitness(params, 6, "even", 4, 26, 4)
+    assert find_even_in_interval(params, 4, parity_table(params, 26)) == 6
     for n_max in (6, 20):
-        assert find_even_in_interval(params, 4, parity_table(params, n_max)) == full
+        assert find_even_in_interval(params, 4, parity_table(params, n_max)) == 6
     for n_max in (0, 3, 5):
-        with pytest.raises(
-            TableTooShortError,
-            match=rf"^table degree {n_max} does not cover the interval \[4, 26\]$",
-        ):
-            find_even_in_interval(params, 4, parity_table(params, n_max))
-    assert issubclass(TableTooShortError, ParameterError)
+        assert find_even_in_interval(params, 4, parity_table(params, n_max)) is None
 
 
 def _full_depth_report(p, ell_max):
@@ -586,13 +581,14 @@ def _full_depth_report(p, ell_max):
         found, failures, skipped = [], [], []
         for ell in range(FIRST_ELL[variant], ell_max + 1, 3):
             try:
-                w = finder(params, ell, table)
+                n = finder(params, ell, table)
             except PreconditionError:
                 skipped.append(ell)
             except DiscrepancyError as exc:
                 failures.append({"ell": ell, "error": str(exc)})
             else:
-                found.append({"n": w.n, "parity": w.parity, "lo": w.lo, "hi": w.hi, "ell": w.ell})
+                lo, hi = interval(variant, ell)
+                found.append({"n": n, "parity": variant, "lo": lo, "hi": hi, "ell": ell})
         results.append(
             {
                 "name": f"{variant}-witness-p{p}-ell{ell_max}",
@@ -678,11 +674,11 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
         table = _fabricated(kind, odd_degrees, n_max)
         return _scan_interval(params, table, lo, hi, want_bit, 4)
 
-    assert scan({lo}, 1).n == lo
-    assert scan({hi}, 1).n == hi
-    assert scan({hi, lo + 1}, 1).n == lo + 1
-    assert scan(every - {lo}, 0).n == lo
-    assert scan(every - {hi}, 0) == ParityWitness(params, hi, "even", lo, hi, 4)
+    assert scan({lo}, 1) == lo
+    assert scan({hi}, 1) == hi
+    assert scan({hi, lo + 1}, 1) == lo + 1
+    assert scan(every - {lo}, 0) == lo
+    assert scan(every - {hi}, 0) == hi
     # degrees just outside [lo, hi] do not count
     for odd_degrees, want_bit in (({lo - 1, hi + 1}, 1), (every - {lo - 1, hi + 1}, 0)):
         with pytest.raises(DiscrepancyError) as exc:
@@ -693,15 +689,14 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
             "this contradicts a proven statement"
         )
     # a table that ends inside [lo, hi] is read up to its end: a witness
-    # there is returned, and with none there the table is too short
+    # there is returned, and with none there the table is too short: None
     short = hi - 1
-    assert _scan_interval(params, _fabricated(kind, every, short), lo, hi, 1, 4).n == lo
+    assert _scan_interval(params, _fabricated(kind, every, short), lo, hi, 1, 4) == lo
     evens = every - {short}
-    assert _scan_interval(params, _fabricated(kind, evens, short), lo, hi, 0, 4).n == short
+    assert _scan_interval(params, _fabricated(kind, evens, short), lo, hi, 0, 4) == short
     for odd_degrees, want_bit in ((every, 0), (set(), 1)):
-        with pytest.raises(TableTooShortError) as exc:
-            _scan_interval(params, _fabricated(kind, odd_degrees, short), lo, hi, want_bit, 4)
-        assert str(exc.value) == f"table degree {short} does not cover the interval [{lo}, {hi}]"
+        table = _fabricated(kind, odd_degrees, short)
+        assert _scan_interval(params, table, lo, hi, want_bit, 4) is None
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -719,7 +714,7 @@ def test_interval_scan_matches_a_per_degree_scan(p):
                     with pytest.raises(DiscrepancyError):
                         _scan_interval(params, table, lo, hi, want_bit, ell)
                 else:
-                    assert _scan_interval(params, table, lo, hi, want_bit, ell).n == expected
+                    assert _scan_interval(params, table, lo, hi, want_bit, ell) == expected
 
 
 # --- cited parity facts at moderate degree -------------------------------------
