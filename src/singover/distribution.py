@@ -4,98 +4,56 @@ The doubly-exponential sequences a_{j+1} = a_j(3a_j + 1)/2 (even
 variant) and a_{j+1} = a_j(3a_j - 1)/2 (odd variant) tile [1, X] with
 intervals that each contain a parity witness, giving the exact counts
 an explicit floor(nu/2) lower bound where nu is the last index with
-a_nu <= X. Terms are exact big integers; a_5 from seed 4 already
-overflows 64 bits.
+a_nu <= X. A sequence is the tuple of its terms, exact big integers;
+a_5 from seed 4 already overflows 64 bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
 from .errors import ParameterError
 from .params import SingularParams
-from .parity import (
-    FIRST_ELL,
-    _require_prime,
-    find_even_in_interval,
-    find_odd_in_interval,
-    interval,
-)
-
-# Index of the first term: the even variant is written a_0, a_1, ...,
-# the odd variant a_1, a_2, ...
-_START_INDEX = {"even": 0, "odd": 1}
+from .parity import FIRST_ELL, _find_in_interval, _require_prime, _sign, interval
 
 
-@dataclass(frozen=True)
-class WitnessSequence:
-    """Terms of the recursive sequence that stay at or below the cutoff."""
+def mod3_invariant_holds(variant: str, terms: tuple[int, ...]) -> bool:
+    """Each term lies in the class mod 3 its step gives it.
 
-    variant: str
-    seed: int
-    terms: tuple[int, ...]
-    cutoff: int
-
-    @property
-    def start_index(self) -> int:
-        return _START_INDEX[self.variant]
-
-    @property
-    def nu(self) -> int:
-        """Largest index j with a_j <= cutoff."""
-        return self.start_index + len(self.terms) - 1
-
-    def mod3_invariant_holds(self) -> bool:
-        """Even variant: even-indexed terms are 1 mod 3 (odd-indexed 2);
-        odd variant: every term is 2 mod 3."""
-        if self.variant == "odd":
-            return all(a % 3 == 2 for a in self.terms)
-        return all(
-            a % 3 == (1 if j % 2 == 0 else 2) for j, a in enumerate(self.terms)
-        )
-
-    def chain_inequalities_hold(self) -> bool:
-        """a_j <= 2 a_{j-1}^2 (even) resp. a_j <= (3/2) a_{j-1}^2 (odd)."""
-        for prev, cur in zip(self.terms, self.terms[1:]):
-            if self.variant == "even":
-                if cur > 2 * prev * prev:
-                    return False
-            else:
-                if 2 * cur > 3 * prev * prev:
-                    return False
-        return True
-
-    def power_chain_bound_holds(self) -> bool:
-        """Iterated form of the chain: a_j <= c^(2^(j-1)-1) a_1^(2^(j-1))
-        with c = 2 (even) or 3/2 (odd), for stored indices j >= 1.
-        Checked in exact integer arithmetic."""
-        for offset, a in enumerate(self.terms):
-            j = self.start_index + offset
-            if j < 1:
-                continue
-            a1 = self.terms[1 - self.start_index]
-            e = 2 ** (j - 1)
-            if self.variant == "even":
-                if a > 2 ** (e - 1) * a1**e:
-                    return False
-            else:
-                if 2 ** (e - 1) * a > 3 ** (e - 1) * a1**e:
-                    return False
-        return True
+    2a' = a(3a+s) = s a (mod 3), so a' = -s a, from the first l's
+    class: the even variant alternates 1, 2, 1, ..., the odd variant
+    stays at 2.
+    """
+    s = _sign(variant)
+    want = FIRST_ELL[variant] % 3
+    for a in terms:
+        if a % 3 != want:
+            return False
+        want = -s * want % 3
+    return True
 
 
-def _check_seed(variant: str, seed: int) -> None:
-    interval(variant, seed)  # refuses an unknown variant
-    if seed < 2 or seed % 3 != FIRST_ELL[variant] % 3:
-        raise ParameterError(
-            f"{variant} variant needs a seed >= 2 with seed = "
-            f"{FIRST_ELL[variant] % 3} mod 3, got {seed}"
-        )
+def chain_inequalities_hold(variant: str, terms: tuple[int, ...]) -> bool:
+    """a_j <= c a_{j-1}^2 with c = 2 (even) or 3/2 (odd), checked as
+    2 a_j <= 2c a_{j-1}^2: 2a' = 3a^2 + s a is at most 2c a^2."""
+    two_c = 4 if _sign(variant) > 0 else 3
+    return all(2 * cur <= two_c * prev * prev for prev, cur in zip(terms, terms[1:]))
 
 
-def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
-    """Iterate the recurrence from the seed until the next term passes X.
+def power_chain_bound_holds(variant: str, terms: tuple[int, ...]) -> bool:
+    """Iterated form of the chain: a_j <= c^(e-1) a_1^e with e = 2^(j-1),
+    for j >= 1, checked as 2^(e-1) a_j <= (2c)^(e-1) a_1^e."""
+    s = _sign(variant)
+    two_c = 4 if s > 0 else 3
+    from_a1 = terms[1:] if s > 0 else terms  # even terms start at a_0
+    for j, a in enumerate(from_a1, start=1):
+        e = 2 ** (j - 1)
+        if 2 ** (e - 1) * a > two_c ** (e - 1) * from_a1[0] ** e:
+            return False
+    return True
+
+
+def build_sequence(variant: str, seed: int, cutoff: int) -> tuple[int, ...]:
+    """The terms from the seed up to the cutoff X, in order.
 
     The step from a is the upper end of ``parity.interval(variant, a)``.
 
@@ -103,7 +61,12 @@ def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
     mod 3, both >= 2; the mod-3 residues then keep every generated
     interval eligible for its parity-witness guarantee.
     """
-    _check_seed(variant, seed)
+    interval(variant, seed)  # refuses an unknown variant
+    if seed < 2 or seed % 3 != FIRST_ELL[variant] % 3:
+        raise ParameterError(
+            f"{variant} variant needs a seed >= 2 with seed = "
+            f"{FIRST_ELL[variant] % 3} mod 3, got {seed}"
+        )
     if cutoff < seed:
         raise ParameterError(f"cutoff {cutoff} is below the seed {seed}")
     terms = [seed]
@@ -112,7 +75,7 @@ def build_sequence(variant: str, seed: int, cutoff: int) -> WitnessSequence:
         if nxt > cutoff:
             break
         terms.append(nxt)
-    return WitnessSequence(variant, seed, tuple(terms), cutoff)
+    return tuple(terms)
 
 
 def parity_census(p: int, cutoff: int) -> dict:
@@ -121,17 +84,18 @@ def parity_census(p: int, cutoff: int) -> dict:
     Both counts must dominate the floor(nu/2) bound coming from their
     witness sequence, which starts at the variant's first l, 4 (even)
     and 2 (odd). The recurrence increases, so these smallest seeds give
-    the largest floors. p and X >= 4 are checked before the parity
-    table, which costs O(X), is built. Returns the report: p, X, the
-    two counts, the two nu, the two floors and whether each count
-    dominates its floor; a false flag is a failed proven statement.
+    the largest floors. p, and X against the even seed 4, are checked
+    before the parity table, which costs O(X), is built. Returns the
+    report: p, X, the two counts, the two nu, the two floors and whether
+    each count dominates its floor; a false flag is a failed proven
+    statement.
     """
     _require_prime(p)
     params = SingularParams(p, 1)
-    if cutoff < FIRST_ELL["even"]:
-        raise ParameterError(f"X must be >= {FIRST_ELL['even']}, got {cutoff}")
-    nu_even = build_sequence("even", FIRST_ELL["even"], cutoff).nu
-    nu_odd = build_sequence("odd", FIRST_ELL["odd"], cutoff).nu
+    # nu is the index of the last term <= X; the even terms are
+    # a_0, a_1, ..., the odd terms a_1, a_2, ...
+    nu_even = len(build_sequence("even", FIRST_ELL["even"], cutoff)) - 1
+    nu_odd = len(build_sequence("odd", FIRST_ELL["odd"], cutoff))
     odd_count = tables.parity_table(params, cutoff).window(1, cutoff).bit_count()
     even_count = cutoff - odd_count
     return {
@@ -158,21 +122,19 @@ def interval_cover_check(
     """Find the guaranteed parity witness in each sequence interval.
 
     Even variant searches [a_{2m}, a_{2m+1}] for even values, odd
-    variant [2 a_j - 1, a_{j+1}] for odd values, for every term at or
-    below the cutoff. Only intervals the table covers in full carry the
-    guarantee, so the first interval whose upper end lies past the
-    table ends the walk. Each interval is the interval finder's for
-    l = a_j, precondition included, and must yield a witness. Returns
-    the pairs (l, n) of each l and its smallest witness n.
+    variant [2 a_j - 1, a_{j+1}] for odd values: the interval of every
+    term at or below the cutoff in the seed's class mod 3. Only
+    intervals the table covers in full carry the guarantee, so the
+    first interval whose upper end lies past the table ends the walk.
+    Each interval is the interval finder's for l = a_j, precondition
+    included, and must yield a witness. Returns the pairs (l, n) of
+    each l and its smallest witness n.
     """
-    _check_seed(variant, seed)
-    finder = find_even_in_interval if variant == "even" else find_odd_in_interval
     witnesses = []
-    a = seed
-    while a <= cutoff:
-        nxt = interval(variant, a)[1]
-        if nxt > table.trunc_degree:
+    for a in build_sequence(variant, seed, cutoff):
+        if a % 3 != seed % 3:
+            continue
+        if interval(variant, a)[1] > table.trunc_degree:
             break
-        witnesses.append((a, finder(params, a, table)))
-        a = interval(variant, nxt)[1] if variant == "even" else nxt
+        witnesses.append((a, _find_in_interval(variant, params, a, table)))
     return witnesses

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from singover import tables
 from singover.distribution import (
     build_sequence,
+    chain_inequalities_hold,
     interval_cover_check,
+    mod3_invariant_holds,
     parity_census,
+    power_chain_bound_holds,
 )
 from singover.errors import ParameterError
 from singover.params import SingularParams
@@ -18,29 +21,26 @@ from singover.tables import coefficients_theta, parity_table
 
 
 def test_even_sequence_small():
-    seq = build_sequence("even", 4, 1000)
-    assert seq.terms == (4, 26)  # 26 = 4*13/2; next is 26*79/2 = 1027
-    assert seq.nu == 1
+    assert build_sequence("even", 4, 1000) == (4, 26)  # 26 = 4*13/2; next is 26*79/2 = 1027
     assert interval("even", 26) == (26, 1027)
     # the paper's even interval, whose upper end is the sequence's step
     for ell in range(2, 201):
         lo, hi = interval("even", ell)
         assert (lo, hi) == (ell, ell * (3 * ell + 1) // 2)
         if ell % 3 == 1:
-            assert build_sequence("even", ell, hi).terms[:2] == (ell, hi)
+            assert build_sequence("even", ell, hi)[:2] == (ell, hi)
 
 
 def test_odd_sequence_small():
-    seq = build_sequence("odd", 2, 2000)
-    assert seq.terms == (2, 5, 35, 1820)  # a(3a-1)/2 iterated
-    assert seq.nu == 4  # odd-variant indices start at 1
-    assert all(a % 3 == 2 for a in seq.terms)
+    terms = build_sequence("odd", 2, 2000)
+    assert terms == (2, 5, 35, 1820)  # a(3a-1)/2 iterated
+    assert all(a % 3 == 2 for a in terms)
     # the paper's odd interval, whose upper end is the sequence's step
     for ell in range(2, 201):
         lo, hi = interval("odd", ell)
         assert (lo, hi) == (2 * ell - 1, ell * (3 * ell - 1) // 2)
         if ell % 3 == 2:
-            assert build_sequence("odd", ell, hi).terms[:2] == (ell, hi)
+            assert build_sequence("odd", ell, hi)[:2] == (ell, hi)
 
 
 def test_sequence_validation():
@@ -65,30 +65,45 @@ ODD_SEEDS = st.sampled_from([2, 5, 8, 11, 14, 17, 20])
 @given(EVEN_SEEDS, st.integers(3, 30))
 @settings(deadline=None)
 def test_even_sequence_invariants(seed, log_cutoff):
-    seq = build_sequence("even", seed, max(seed, 1 << log_cutoff))
-    assert seq.mod3_invariant_holds()
-    assert seq.chain_inequalities_hold()
-    assert seq.power_chain_bound_holds()
+    terms = build_sequence("even", seed, max(seed, 1 << log_cutoff))
+    assert mod3_invariant_holds("even", terms)
+    assert chain_inequalities_hold("even", terms)
+    assert power_chain_bound_holds("even", terms)
     # even-indexed terms keep the residue that re-arms the interval search
-    for j, a in enumerate(seq.terms):
+    for j, a in enumerate(terms):
         if j % 2 == 0:
             assert a % 3 == 1
+    # a next term a_j off its class, above 2 a_{j-1}^2, or above
+    # 2^(e-1) a_1^e with e = 2^(j-1) fails its check
+    nxt = interval("even", terms[-1])[1]
+    assert not mod3_invariant_holds("even", terms + (nxt + 1,))
+    assert not chain_inequalities_hold("even", terms + (2 * terms[-1] ** 2 + 1,))
+    if len(terms) > 1:  # a_j with j >= 2; a_1 is its own bound
+        e, a1 = 2 ** (len(terms) - 1), terms[1]
+        assert not power_chain_bound_holds("even", terms + (2 ** (e - 1) * a1**e + 1,))
 
 
 @given(ODD_SEEDS, st.integers(3, 30))
 @settings(deadline=None)
 def test_odd_sequence_invariants(seed, log_cutoff):
-    seq = build_sequence("odd", seed, max(seed, 1 << log_cutoff))
-    assert seq.mod3_invariant_holds()
-    assert seq.chain_inequalities_hold()
-    assert seq.power_chain_bound_holds()
+    terms = build_sequence("odd", seed, max(seed, 1 << log_cutoff))
+    assert mod3_invariant_holds("odd", terms)
+    assert chain_inequalities_hold("odd", terms)
+    assert power_chain_bound_holds("odd", terms)
+    # a next term a_j off its class, above (3/2) a_{j-1}^2, or above
+    # (3/2)^(e-1) a_1^e with e = 2^(j-1) fails its check
+    nxt = interval("odd", terms[-1])[1]
+    assert not mod3_invariant_holds("odd", terms + (nxt + 1,))
+    assert not chain_inequalities_hold("odd", terms + (3 * terms[-1] ** 2 // 2 + 1,))
+    e, a1 = 2 ** len(terms), terms[0]
+    assert not power_chain_bound_holds("odd", terms + (3 ** (e - 1) * a1**e // 2 ** (e - 1) + 1,))
 
 
 def test_sequence_terms_are_big_integers():
     # a_5 from seed 4 exceeds 64 bits; exact arithmetic must keep going
-    seq = build_sequence("even", 4, 1 << 200)
-    assert any(a.bit_length() > 64 for a in seq.terms)
-    for prev, cur in zip(seq.terms, seq.terms[1:]):
+    terms = build_sequence("even", 4, 1 << 200)
+    assert any(a.bit_length() > 64 for a in terms)
+    for prev, cur in zip(terms, terms[1:]):
         assert cur == prev * (3 * prev + 1) // 2
 
 
@@ -102,6 +117,12 @@ def test_census_partition_of_range():
     assert report["even_dominates"] and report["odd_dominates"]
     assert report["nu_even"] == 2  # 4, 26, 1027
     assert report["nu_odd"] == 4  # 2, 5, 35, 1820
+    # nu at each side of the terms 26, 1027 (even, indices from 0) and
+    # 5, 35, 1820 (odd, indices from 1); the next terms pass 10^6
+    xs = (4, 5, 25, 26, 34, 35, 1026, 1027, 1819, 1820, 10**6)
+    reports = [parity_census(5, x) for x in xs]
+    assert [r["nu_even"] for r in reports] == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    assert [r["nu_odd"] for r in reports] == [1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4]
 
 
 def test_census_other_prime():
@@ -211,3 +232,6 @@ def test_interval_cover_validation():
         interval_cover_check("even", 5, 100, params, table)
     with pytest.raises(ParameterError):
         interval_cover_check("sideways", 4, 100, params, table)
+    # a cutoff below the seed would check no interval
+    with pytest.raises(ParameterError, match="^cutoff 3 is below the seed 4$"):
+        interval_cover_check("even", 4, 3, params, table)
