@@ -4,8 +4,8 @@ The doubly-exponential sequences a_{j+1} = a_j(3a_j + 1)/2 (even
 variant) and a_{j+1} = a_j(3a_j - 1)/2 (odd variant) tile [1, X] with
 intervals that each contain a parity witness, giving the exact counts
 an explicit floor(nu/2) lower bound where nu is the last index with
-a_nu <= X. A sequence is the tuple of its terms, exact big integers;
-a_5 from seed 4 already overflows 64 bits.
+a_nu <= X. A sequence is the tuple of its terms, exact big integers,
+from the variant's first l; the even a_5 already overflows 64 bits.
 """
 
 from __future__ import annotations
@@ -52,24 +52,18 @@ def power_chain_bound_holds(variant: str, terms: tuple[int, ...]) -> bool:
     return True
 
 
-def build_sequence(variant: str, seed: int, cutoff: int) -> tuple[int, ...]:
-    """The terms from the seed up to the cutoff X, in order.
+def build_sequence(variant: str, cutoff: int) -> tuple[int, ...]:
+    """The terms from ``FIRST_ELL[variant]`` up to the cutoff X, in order.
 
-    The step from a is the upper end of ``parity.interval(variant, a)``.
-
-    The even variant needs seed = 1 mod 3, the odd variant seed = 2
-    mod 3, both >= 2; the mod-3 residues then keep every generated
-    interval eligible for its parity-witness guarantee.
+    The step from a is the upper end of ``parity.interval(variant, a)``;
+    the mod-3 residues then keep every generated interval eligible for
+    its parity-witness guarantee.
     """
-    interval(variant, seed)  # refuses an unknown variant
-    if seed < 2 or seed % 3 != FIRST_ELL[variant] % 3:
-        raise ParameterError(
-            f"{variant} variant needs a seed >= 2 with seed = "
-            f"{FIRST_ELL[variant] % 3} mod 3, got {seed}"
-        )
-    if cutoff < seed:
-        raise ParameterError(f"cutoff {cutoff} is below the seed {seed}")
-    terms = [seed]
+    _sign(variant)  # refuses an unknown variant
+    first = FIRST_ELL[variant]
+    if cutoff < first:
+        raise ParameterError(f"cutoff {cutoff} is below the seed {first}")
+    terms = [first]
     while True:
         nxt = interval(variant, terms[-1])[1]
         if nxt > cutoff:
@@ -83,19 +77,19 @@ def parity_census(p: int, cutoff: int) -> dict:
 
     Both counts must dominate the floor(nu/2) bound coming from their
     witness sequence, which starts at the variant's first l, 4 (even)
-    and 2 (odd). The recurrence increases, so these smallest seeds give
-    the largest floors. p, and X against the even seed 4, are checked
-    before the parity table, which costs O(X), is built. Returns the
-    report: p, X, the two counts, the two nu, the two floors and whether
-    each count dominates its floor; a false flag is a failed proven
-    statement.
+    and 2 (odd). The recurrence increases, so these smallest first terms
+    give the largest floors. p, and X against the even first term 4, are
+    checked before the parity table, which costs O(X), is built. Returns
+    the report: p, X, the two counts, the two nu, the two floors and
+    whether each count dominates its floor; a false flag is a failed
+    proven statement.
     """
     _require_prime(p)
     params = SingularParams(p, 1)
     # nu is the index of the last term <= X; the even terms are
     # a_0, a_1, ..., the odd terms a_1, a_2, ...
-    nu_even = len(build_sequence("even", FIRST_ELL["even"], cutoff)) - 1
-    nu_odd = len(build_sequence("odd", FIRST_ELL["odd"], cutoff))
+    nu_even = len(build_sequence("even", cutoff)) - 1
+    nu_odd = len(build_sequence("odd", cutoff))
     odd_count = tables.parity_table(params, cutoff).window(1, cutoff).bit_count()
     even_count = cutoff - odd_count
     return {
@@ -112,29 +106,29 @@ def parity_census(p: int, cutoff: int) -> dict:
     }
 
 
-def interval_cover_check(
-    variant: str,
-    seed: int,
-    cutoff: int,
-    params: SingularParams,
-    table,
-) -> list[tuple[int, int]]:
+def interval_cover_check(variant: str, params: SingularParams, table) -> list[tuple[int, int]]:
     """Find the guaranteed parity witness in each sequence interval.
 
     Even variant searches [a_{2m}, a_{2m+1}] for even values, odd
-    variant [2 a_j - 1, a_{j+1}] for odd values: the interval of every
-    term at or below the cutoff in the seed's class mod 3. Only
-    intervals the table covers in full carry the guarantee, so the
-    first interval whose upper end lies past the table ends the walk.
+    variant [2 a_j - 1, a_{j+1}] for odd values: the interval of each
+    term in the first l's class mod 3 that the table covers in full, as
+    only those carry the guarantee. A term's interval ends at the next
+    term, so these are the terms up to the table's degree but the last.
     Each interval is the interval finder's for l = a_j, precondition
-    included, and must yield a witness. Returns the pairs (l, n) of
-    each l and its smallest witness n.
+    included, and must yield a witness. A table that ends below the
+    first interval's top would check none and is refused. Returns the
+    pairs (l, n) of each l and its smallest witness n.
     """
-    witnesses = []
-    for a in build_sequence(variant, seed, cutoff):
-        if a % 3 != seed % 3:
-            continue
-        if interval(variant, a)[1] > table.trunc_degree:
-            break
-        witnesses.append((a, _find_in_interval(variant, params, a, table)))
-    return witnesses
+    _sign(variant)  # refuses an unknown variant
+    first = FIRST_ELL[variant]
+    lo, hi = interval(variant, first)
+    if table.trunc_degree < hi:
+        raise ParameterError(
+            f"table degree {table.trunc_degree} ends below the first {variant} "
+            f"interval [{lo}, {hi}]; the cover would check no interval"
+        )
+    return [
+        (a, _find_in_interval(variant, params, a, table))
+        for a in build_sequence(variant, table.trunc_degree)[:-1]
+        if a % 3 == first % 3
+    ]

@@ -28,8 +28,9 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
 * ``find_even_in_interval`` and ``find_odd_in_interval`` return the
   smallest degree n of the variant's parity in its interval. Their
   precondition refuses an l only when ``_residue_witness`` finds the
-  target on the form of the caller's own i. They read a table only up
-  to its end: the proof's degrees begin at the low end, so the smallest
+  target on the form of the caller's own i. Each reads its own window
+  of the table, the interval cut at the table's end, as one run of
+  bits: the proof's degrees begin at the low end, so the smallest
   witness lies just past it, and a table that ends inside an interval
   still answers when the witness lies before its end. If none does,
   they return None, and a deeper table may still hold one.
@@ -205,32 +206,6 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     ]
 
 
-def _scan_interval(params, table, lo, hi, want_bit, ell) -> int | None:
-    """The smallest n in [lo, hi] with table parity want_bit.
-
-    Only the covered part [lo, min(hi, N)] of a table of degree N is
-    read, as one window of bits: the lowest set bit of the window (odd)
-    or of its complement (even). A witness there is the interval's
-    smallest, whatever lies past N. With none there, an interval that
-    runs past N gives None, since a deeper table may still hold one; a
-    covered interval raises DiscrepancyError, whose message names the
-    parity, (k, i), lo, hi and l.
-    """
-    end = min(hi, table.trunc_degree)
-    width = max(end - lo + 1, 0)
-    found = table.window(lo, end) if width else 0
-    if not want_bit:
-        found ^= (1 << width) - 1
-    if found:
-        return lo + (found & -found).bit_length() - 1
-    if end < hi:
-        return None
-    raise DiscrepancyError(
-        f"no {'odd' if want_bit else 'even'} value of C-bar_{{{params.k},{params.i}}} "
-        f"in [{lo}, {hi}] (l = {ell}); this contradicts a proven statement"
-    )
-
-
 def _require_excluded(params: SingularParams, target: int) -> None:
     hit = _residue_witness(params.k, target)
     if hit is None or hit[0] != params.i:
@@ -248,15 +223,31 @@ def _find_in_interval(variant: str, params: SingularParams, ell: int, table) -> 
 
     Requires the target l(3l+s) to avoid the quadratic form of params.i
     (checked here); the form of another residue does not touch the
-    guarantee. Existence is then guaranteed: an exhausted interval
-    raises DiscrepancyError, and one cut short by the table's end with
-    no witness before it gives None.
+    guarantee. Only the covered part [lo, min(hi, N)] of a table of
+    degree N is read, as one window of bits: the lowest set bit of the
+    window (odd) or of its complement (even). A witness there is the
+    interval's smallest, whatever lies past N. With none there, an
+    interval that runs past N gives None, since a deeper table may
+    still hold one; a covered interval, where existence is guaranteed,
+    raises DiscrepancyError.
     """
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
     lo, hi = interval(variant, ell)
     _require_excluded(params, 2 * hi)
-    return _scan_interval(params, table, lo, hi, variant == "odd", ell)
+    end = min(hi, table.trunc_degree)
+    width = max(end - lo + 1, 0)
+    found = table.window(lo, end) if width else 0
+    if _sign(variant) > 0:
+        found ^= (1 << width) - 1
+    if found:
+        return lo + (found & -found).bit_length() - 1
+    if end < hi:
+        return None
+    raise DiscrepancyError(
+        f"no {variant} value of C-bar_{{{params.k},{params.i}}} "
+        f"in [{lo}, {hi}] (l = {ell}); this contradicts a proven statement"
+    )
 
 
 def find_even_in_interval(params: SingularParams, ell: int, table) -> int | None:

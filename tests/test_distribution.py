@@ -1,5 +1,7 @@
 """Witness sequences, parity census, interval covers."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,47 +17,58 @@ from singover.distribution import (
 )
 from singover.errors import ParameterError
 from singover.params import SingularParams
-from singover.parity import interval
+from singover.parity import FIRST_ELL, interval
 from singover.qseries import TruncSeriesF2
 from singover.tables import coefficients_theta, parity_table
 
 
 def test_even_sequence_small():
-    assert build_sequence("even", 4, 1000) == (4, 26)  # 26 = 4*13/2; next is 26*79/2 = 1027
+    assert build_sequence("even", 1000) == (4, 26)  # 26 = 4*13/2; next is 26*79/2 = 1027
+    assert build_sequence("even", 4) == (4,)
     assert interval("even", 26) == (26, 1027)
     # the paper's even interval, whose upper end is the sequence's step
     for ell in range(2, 201):
         lo, hi = interval("even", ell)
         assert (lo, hi) == (ell, ell * (3 * ell + 1) // 2)
-        if ell % 3 == 1:
-            assert build_sequence("even", ell, hi)[:2] == (ell, hi)
+    terms = build_sequence("even", 1 << 100)
+    assert terms[:4] == (4, 26, 1027, 1582607)
+    for prev, cur in zip(terms, terms[1:]):
+        assert cur == interval("even", prev)[1]
 
 
 def test_odd_sequence_small():
-    terms = build_sequence("odd", 2, 2000)
+    terms = build_sequence("odd", 2000)
     assert terms == (2, 5, 35, 1820)  # a(3a-1)/2 iterated
     assert all(a % 3 == 2 for a in terms)
+    assert build_sequence("odd", 2) == (2,)
     # the paper's odd interval, whose upper end is the sequence's step
     for ell in range(2, 201):
         lo, hi = interval("odd", ell)
         assert (lo, hi) == (2 * ell - 1, ell * (3 * ell - 1) // 2)
-        if ell % 3 == 2:
-            assert build_sequence("odd", ell, hi)[:2] == (ell, hi)
+    terms = build_sequence("odd", 1 << 100)
+    for prev, cur in zip(terms, terms[1:]):
+        assert cur == interval("odd", prev)[1]
 
 
 def test_sequence_validation():
-    with pytest.raises(ParameterError):
-        build_sequence("even", 5, 100)  # 5 = 2 mod 3
-    with pytest.raises(ParameterError):
-        build_sequence("odd", 4, 100)
-    with pytest.raises(ParameterError):
-        build_sequence("odd", 2, 1)  # cutoff below seed
+    with pytest.raises(ParameterError, match="^cutoff 1 is below the seed 2$"):
+        build_sequence("odd", 1)
+    with pytest.raises(ParameterError, match="^cutoff 3 is below the seed 4$"):
+        build_sequence("even", 3)
     for bad in ("both", "neither", "Even", ""):
         message = f"^variant must be 'even' or 'odd', got {bad!r}$"
         with pytest.raises(ParameterError, match=message):
-            build_sequence(bad, 4, 100)
+            build_sequence(bad, 100)
         with pytest.raises(ParameterError, match=message):
             interval(bad, 4)
+
+
+def terms_from(variant, seed, cutoff):
+    """The sequence's step a -> interval(variant, a)[1] iterated from any seed."""
+    terms = [seed]
+    while (nxt := interval(variant, terms[-1])[1]) <= cutoff:
+        terms.append(nxt)
+    return tuple(terms)
 
 
 EVEN_SEEDS = st.sampled_from([4, 7, 10, 13, 16, 19, 22])
@@ -65,7 +78,9 @@ ODD_SEEDS = st.sampled_from([2, 5, 8, 11, 14, 17, 20])
 @given(EVEN_SEEDS, st.integers(3, 30))
 @settings(deadline=None)
 def test_even_sequence_invariants(seed, log_cutoff):
-    terms = build_sequence("even", seed, max(seed, 1 << log_cutoff))
+    terms = terms_from("even", seed, 1 << log_cutoff)
+    if seed == FIRST_ELL["even"]:
+        assert terms == build_sequence("even", 1 << log_cutoff)
     assert mod3_invariant_holds("even", terms)
     assert chain_inequalities_hold("even", terms)
     assert power_chain_bound_holds("even", terms)
@@ -86,7 +101,9 @@ def test_even_sequence_invariants(seed, log_cutoff):
 @given(ODD_SEEDS, st.integers(3, 30))
 @settings(deadline=None)
 def test_odd_sequence_invariants(seed, log_cutoff):
-    terms = build_sequence("odd", seed, max(seed, 1 << log_cutoff))
+    terms = terms_from("odd", seed, 1 << log_cutoff)
+    if seed == FIRST_ELL["odd"]:
+        assert terms == build_sequence("odd", 1 << log_cutoff)
     assert mod3_invariant_holds("odd", terms)
     assert chain_inequalities_hold("odd", terms)
     assert power_chain_bound_holds("odd", terms)
@@ -100,8 +117,8 @@ def test_odd_sequence_invariants(seed, log_cutoff):
 
 
 def test_sequence_terms_are_big_integers():
-    # a_5 from seed 4 exceeds 64 bits; exact arithmetic must keep going
-    terms = build_sequence("even", 4, 1 << 200)
+    # the even a_5 exceeds 64 bits; exact arithmetic must keep going
+    terms = build_sequence("even", 1 << 200)
     assert any(a.bit_length() > 64 for a in terms)
     for prev, cur in zip(terms, terms[1:]):
         assert cur == prev * (3 * prev + 1) // 2
@@ -185,7 +202,7 @@ def test_census_below_a_floor_returns_a_false_flag(monkeypatch):
 def test_interval_cover_even():
     params = SingularParams(5, 1)
     table = parity_table(params, 2000)
-    witnesses = interval_cover_check("even", 4, 1500, params, table)
+    witnesses = interval_cover_check("even", params, table)
     # [1027, 1582607] lies past the table, so the walk ends before it
     assert [ell for ell, _ in witnesses] == [4]
     exact = coefficients_theta(params, 2000).coeffs
@@ -199,7 +216,7 @@ def test_interval_cover_even():
 def test_interval_cover_odd():
     params = SingularParams(5, 1)
     table = parity_table(params, 2000)
-    witnesses = interval_cover_check("odd", 2, 100, params, table)
+    witnesses = interval_cover_check("odd", params, table)
     assert [interval("odd", ell) for ell, _ in witnesses] == [(3, 5), (9, 35), (69, 1820)]
     exact = coefficients_theta(params, 2000).coeffs
     for ell, n in witnesses:
@@ -210,28 +227,36 @@ def test_interval_cover_odd():
 
 
 def test_interval_cover_clipped_to_table():
-    # an interval is searched only when the table covers all of it
+    # an interval is searched only when the table covers all of it; a
+    # table that covers no interval is refused (a DiscrepancyError is
+    # no ParameterError, so pytest.raises lets it through as a failure)
     params = SingularParams(5, 1)
-    assert interval_cover_check("odd", 2, 4, params, parity_table(params, 4)) == []
-    witnesses = interval_cover_check("odd", 2, 4, params, parity_table(params, 5))
+    message = r"^table degree 4 ends below the first odd interval \[3, 5\]; "
+    with pytest.raises(ParameterError, match=message):
+        interval_cover_check("odd", params, parity_table(params, 4))
+    witnesses = interval_cover_check("odd", params, parity_table(params, 5))
     assert witnesses == [(2, 3)]  # C-bar_{5,1}(3) is the first odd value in [3, 5]
 
 
 def test_interval_cover_ends_before_a_partial_interval():
     # cut to [4, 5], the interval [4, 26] has no even value and no
-    # guarantee; it used to raise a false DiscrepancyError
+    # guarantee, so the cover would check nothing: refused, not failed
     params = SingularParams(5, 1)
-    table = parity_table(params, 5)
-    assert interval_cover_check("even", 4, 10**6, params, table) == []
+    message = r"^table degree 5 ends below the first even interval \[4, 26\]; "
+    with pytest.raises(ParameterError, match=message):
+        interval_cover_check("even", params, parity_table(params, 5))
+    with pytest.raises(ParameterError, match="^table degree 25 "):
+        interval_cover_check("even", params, parity_table(params, 25))
+    # C-bar_{5,1}(6) is the first even value in [4, 26]
+    assert interval_cover_check("even", params, parity_table(params, 26)) == [(4, 6)]
 
 
 def test_interval_cover_validation():
     params = SingularParams(5, 1)
-    table = parity_table(params, 50)
-    with pytest.raises(ParameterError):
-        interval_cover_check("even", 5, 100, params, table)
-    with pytest.raises(ParameterError):
-        interval_cover_check("sideways", 4, 100, params, table)
-    # a cutoff below the seed would check no interval
-    with pytest.raises(ParameterError, match="^cutoff 3 is below the seed 4$"):
-        interval_cover_check("even", 4, 3, params, table)
+    with pytest.raises(ParameterError, match="^variant must be 'even' or 'odd'"):
+        interval_cover_check("sideways", params, parity_table(params, 50))
+    # degrees below the first l are refused with the same message
+    for variant, degree, first in (("even", 3, "[4, 26]"), ("odd", 1, "[3, 5]")):
+        message = f"^table degree {degree} ends below the first {variant} interval "
+        with pytest.raises(ParameterError, match=message + re.escape(first)):
+            interval_cover_check(variant, params, parity_table(params, degree))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singover import checks, tables
+from singover import checks, parity, tables
 from singover import qseries as qs
 from singover.errors import DiscrepancyError, ParameterError, PreconditionError
 from singover.params import SingularParams
@@ -22,10 +22,10 @@ from singover.parity import (
     find_odd_in_interval,
     first_convolution_mismatch,
     interval,
+    _find_in_interval,
     _require_excluded,
     _require_prime,
     _residue_witness,
-    _scan_interval,
 )
 from singover.oracle import enumerate_overpartitions
 from singover.tables import coefficients_theta, parity_table
@@ -667,54 +667,53 @@ def _fabricated(kind, odd_degrees, n_max):
 @pytest.mark.parametrize("kind", ["parity", "coeff"])
 def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
     params = SingularParams(5, 1)
-    lo, hi, n_max = 4, 26, 30
-    every = set(range(n_max + 1))
+    n_max = 40
+    for variant, ell in (("even", 4), ("odd", 5)):
+        lo, hi = interval(variant, ell)  # [4, 26] and [9, 35]
 
-    def scan(odd_degrees, want_bit):
-        table = _fabricated(kind, odd_degrees, n_max)
-        return _scan_interval(params, table, lo, hi, want_bit, 4)
+        def find(witnesses, table_degree=n_max):
+            # a table whose degrees of the variant's parity are exactly these
+            odd_degrees = witnesses if variant == "odd" else set(range(n_max + 1)) - witnesses
+            table = _fabricated(kind, odd_degrees, table_degree)
+            return _find_in_interval(variant, params, ell, table)
 
-    assert scan({lo}, 1) == lo
-    assert scan({hi}, 1) == hi
-    assert scan({hi, lo + 1}, 1) == lo + 1
-    assert scan(every - {lo}, 0) == lo
-    assert scan(every - {hi}, 0) == hi
-    # degrees just outside [lo, hi] do not count
-    for odd_degrees, want_bit in (({lo - 1, hi + 1}, 1), (every - {lo - 1, hi + 1}, 0)):
+        assert find({lo}) == lo
+        assert find({hi}) == hi
+        assert find({hi, lo + 1}) == lo + 1
+        # degrees just outside [lo, hi] do not count
         with pytest.raises(DiscrepancyError) as exc:
-            scan(odd_degrees, want_bit)
-        parity = "odd" if want_bit else "even"
+            find({lo - 1, hi + 1})
         assert str(exc.value) == (
-            f"no {parity} value of C-bar_{{5,1}} in [{lo}, {hi}] (l = 4); "
+            f"no {variant} value of C-bar_{{5,1}} in [{lo}, {hi}] (l = {ell}); "
             "this contradicts a proven statement"
         )
-    # a table that ends inside [lo, hi] is read up to its end: a witness
-    # there is returned, and with none there the table is too short: None
-    short = hi - 1
-    assert _scan_interval(params, _fabricated(kind, every, short), lo, hi, 1, 4) == lo
-    evens = every - {short}
-    assert _scan_interval(params, _fabricated(kind, evens, short), lo, hi, 0, 4) == short
-    for odd_degrees, want_bit in ((every, 0), (set(), 1)):
-        table = _fabricated(kind, odd_degrees, short)
-        assert _scan_interval(params, table, lo, hi, want_bit, 4) is None
+        # a table that ends inside [lo, hi] is read up to its end: a
+        # witness there is returned, and with none there (one past the
+        # end does not count) the table is too short: None
+        short = hi - 1
+        assert find(set(range(n_max + 1)), short) == lo
+        assert find({short}, short) == short
+        assert find(set(), short) is None
+        assert find({hi}, short) is None
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
-def test_interval_scan_matches_a_per_degree_scan(p):
+def test_interval_scan_matches_a_per_degree_scan(p, monkeypatch):
+    # the window read alone, at every l: the precondition, which refuses
+    # a few l per p here, is lifted
+    monkeypatch.setattr(parity, "_require_excluded", lambda params, target: None)
     params = SingularParams(p, 1)
     top = 60 * (3 * 60 + 1) // 2
     for table in (parity_table(params, top), qs.reduce_mod2(coefficients_theta(params, top))):
         for ell in range(2, 61):
-            for lo, hi, want_bit in (
-                (ell, ell * (3 * ell + 1) // 2, 0),
-                (2 * ell - 1, ell * (3 * ell - 1) // 2, 1),
-            ):
+            for variant, want_bit in (("even", 0), ("odd", 1)):
+                lo, hi = interval(variant, ell)
                 expected = _scan_by_degree(table, lo, hi, want_bit)
                 if expected is None:
                     with pytest.raises(DiscrepancyError):
-                        _scan_interval(params, table, lo, hi, want_bit, ell)
+                        _find_in_interval(variant, params, ell, table)
                 else:
-                    assert _scan_interval(params, table, lo, hi, want_bit, ell) == expected
+                    assert _find_in_interval(variant, params, ell, table) == expected
 
 
 # --- cited parity facts at moderate degree -------------------------------------
