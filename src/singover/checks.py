@@ -151,8 +151,9 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     parity._require_prime(p)
     params = SingularParams(p, 1)
     top = ell_max * (3 * ell_max + 1) // 2
-    # an ell_max below 1 reads no interval, and its table is degree 0
-    table = tables.parity_table(params, max(min(2 * (2 * ell_max - 1), top), 0))
+    # 2(2 l - 1) <= l(3l + 1)/2, as (3l - 4)(l - 1) >= 0 for integer l; an
+    # ell_max below 1 reads no interval, and its table is degree 0
+    table = tables.parity_table(params, max(2 * (2 * ell_max - 1), 0))
     results = []
     for variant, finder in (
         ("even", parity.find_even_in_interval),

@@ -6,49 +6,52 @@ intervals that each contain a parity witness, giving the exact counts
 an explicit floor(nu/2) lower bound where nu is the last index with
 a_nu <= X. A sequence is the tuple of its terms, exact big integers,
 from the variant's first l; the even a_5 already overflows 64 bits.
+The census checks that chain: each sequence's mod-3 classes and growth
+bounds, and a witness in each of its intervals inside [1, X].
 """
 
 from __future__ import annotations
 
 from . import tables
-from .errors import ParameterError
+from .errors import DiscrepancyError, ParameterError
 from .params import SingularParams
 from .parity import FIRST_ELL, _find_in_interval, _require_prime, _sign, interval
 
 
-def mod3_invariant_holds(variant: str, terms: tuple[int, ...]) -> bool:
-    """Each term lies in the class mod 3 its step gives it.
+def _steps_hold(variant: str, terms: tuple[int, ...]) -> bool:
+    """The proof steps of a witness sequence, one term at a time.
 
-    2a' = a(3a+s) = s a (mod 3), so a' = -s a, from the first l's
-    class: the even variant alternates 1, 2, 1, ..., the odd variant
-    stays at 2.
+    With s the variant's sign and c = 2 (even) or 3/2 (odd):
+
+    * the mod-3 class: 2a' = a(3a+s) = s a (mod 3), so a' = -s a, from
+      the first l's class; the even variant alternates 1, 2, 1, ...,
+      the odd variant stays at 2;
+    * the power bound a_j <= c^(e-1) a_1^e with e = 2^(j-1), for j >= 1,
+      checked as 2^(e-1) a_j <= (2c)^(e-1) a_1^e;
+    * the chain a_j <= c a_{j-1}^2, checked as 2 a_j <= 2c a_{j-1}^2:
+      2a' = 3a^2 + s a is at most 2c a^2.
+
+    The power bound is the chain iterated, so it is checked first: after
+    the chain it could never fail.
     """
     s = _sign(variant)
+    two_c = 4 if s > 0 else 3
     want = FIRST_ELL[variant] % 3
-    for a in terms:
+    prev = a1 = None
+    # the even terms are a_0, a_1, ..., the odd terms a_1, a_2, ...
+    for j, a in enumerate(terms, start=0 if s > 0 else 1):
         if a % 3 != want:
             return False
         want = -s * want % 3
-    return True
-
-
-def chain_inequalities_hold(variant: str, terms: tuple[int, ...]) -> bool:
-    """a_j <= c a_{j-1}^2 with c = 2 (even) or 3/2 (odd), checked as
-    2 a_j <= 2c a_{j-1}^2: 2a' = 3a^2 + s a is at most 2c a^2."""
-    two_c = 4 if _sign(variant) > 0 else 3
-    return all(2 * cur <= two_c * prev * prev for prev, cur in zip(terms, terms[1:]))
-
-
-def power_chain_bound_holds(variant: str, terms: tuple[int, ...]) -> bool:
-    """Iterated form of the chain: a_j <= c^(e-1) a_1^e with e = 2^(j-1),
-    for j >= 1, checked as 2^(e-1) a_j <= (2c)^(e-1) a_1^e."""
-    s = _sign(variant)
-    two_c = 4 if s > 0 else 3
-    from_a1 = terms[1:] if s > 0 else terms  # even terms start at a_0
-    for j, a in enumerate(from_a1, start=1):
-        e = 2 ** (j - 1)
-        if 2 ** (e - 1) * a > two_c ** (e - 1) * from_a1[0] ** e:
+        if j == 1:  # a_1 is its own power bound
+            a1 = a
+        elif j > 1:
+            e = 2 ** (j - 1)
+            if 2 ** (e - 1) * a > two_c ** (e - 1) * a1**e:
+                return False
+        if prev is not None and 2 * a > two_c * prev * prev:
             return False
+        prev = a
     return True
 
 
@@ -81,17 +84,35 @@ def parity_census(p: int, cutoff: int) -> dict:
     give the largest floors. p, and X against the even first term 4, are
     checked before the parity table, which costs O(X), is built. Returns
     the report: p, X, the two counts, the two nu, the two floors and
-    whether each count dominates its floor; a false flag is a failed
-    proven statement.
+    whether each floor is proven and met: the sequence passes
+    ``_steps_hold``, each of its intervals inside [1, X] holds its
+    witness, and the count is at least the floor. A false flag is a
+    failed proven statement; it raises no exception.
     """
     _require_prime(p)
     params = SingularParams(p, 1)
+    even_terms = build_sequence("even", cutoff)
+    odd_terms = build_sequence("odd", cutoff)
+    table = tables.parity_table(params, cutoff)
+    odd_count = table.window(1, cutoff).bit_count()
+    even_count = cutoff - odd_count
     # nu is the index of the last term <= X; the even terms are
     # a_0, a_1, ..., the odd terms a_1, a_2, ...
-    nu_even = len(build_sequence("even", cutoff)) - 1
-    nu_odd = len(build_sequence("odd", cutoff))
-    odd_count = tables.parity_table(params, cutoff).window(1, cutoff).bit_count()
-    even_count = cutoff - odd_count
+    nu_even = len(even_terms) - 1
+    nu_odd = len(odd_terms)
+
+    def proven(variant: str, terms: tuple[int, ...]) -> bool:
+        # the interval of each term in the first l's class mod 3 but the
+        # last ends at the next term, inside [1, X], and holds a witness
+        try:
+            return _steps_hold(variant, terms) and all(
+                _find_in_interval(variant, params, a, table) is not None
+                for a in terms[:-1]
+                if a % 3 == terms[0] % 3
+            )
+        except DiscrepancyError:
+            return False
+
     return {
         "p": p,
         "X": cutoff,
@@ -101,34 +122,6 @@ def parity_census(p: int, cutoff: int) -> dict:
         "nu_odd": nu_odd,
         "even_lower_bound": nu_even // 2,
         "odd_lower_bound": nu_odd // 2,
-        "even_dominates": even_count >= nu_even // 2,
-        "odd_dominates": odd_count >= nu_odd // 2,
+        "even_dominates": even_count >= nu_even // 2 and proven("even", even_terms),
+        "odd_dominates": odd_count >= nu_odd // 2 and proven("odd", odd_terms),
     }
-
-
-def interval_cover_check(variant: str, params: SingularParams, table) -> list[tuple[int, int]]:
-    """Find the guaranteed parity witness in each sequence interval.
-
-    Even variant searches [a_{2m}, a_{2m+1}] for even values, odd
-    variant [2 a_j - 1, a_{j+1}] for odd values: the interval of each
-    term in the first l's class mod 3 that the table covers in full, as
-    only those carry the guarantee. A term's interval ends at the next
-    term, so these are the terms up to the table's degree but the last.
-    Each interval is the interval finder's for l = a_j, precondition
-    included, and must yield a witness. A table that ends below the
-    first interval's top would check none and is refused. Returns the
-    pairs (l, n) of each l and its smallest witness n.
-    """
-    _sign(variant)  # refuses an unknown variant
-    first = FIRST_ELL[variant]
-    lo, hi = interval(variant, first)
-    if table.trunc_degree < hi:
-        raise ParameterError(
-            f"table degree {table.trunc_degree} ends below the first {variant} "
-            f"interval [{lo}, {hi}]; the cover would check no interval"
-        )
-    return [
-        (a, _find_in_interval(variant, params, a, table))
-        for a in build_sequence(variant, table.trunc_degree)[:-1]
-        if a % 3 == first % 3
-    ]

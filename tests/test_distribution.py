@@ -1,23 +1,14 @@
-"""Witness sequences, parity census, interval covers."""
-
-import re
+"""Witness sequences, their proof steps, and the parity census."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singover import tables
-from singover.distribution import (
-    build_sequence,
-    chain_inequalities_hold,
-    interval_cover_check,
-    mod3_invariant_holds,
-    parity_census,
-    power_chain_bound_holds,
-)
+from singover import distribution, tables
+from singover.distribution import _steps_hold, build_sequence, parity_census
 from singover.errors import ParameterError
 from singover.params import SingularParams
-from singover.parity import FIRST_ELL, interval
+from singover.parity import FIRST_ELL, _find_in_interval, interval
 from singover.qseries import TruncSeriesF2
 from singover.tables import coefficients_theta, parity_table
 
@@ -75,45 +66,54 @@ EVEN_SEEDS = st.sampled_from([4, 7, 10, 13, 16, 19, 22])
 ODD_SEEDS = st.sampled_from([2, 5, 8, 11, 14, 17, 20])
 
 
+def in_class(t, a):
+    """The least integer >= t in a's class mod 3."""
+    return t + (a - t) % 3
+
+
+# A doctored next term in its step's class reaches the check it is built
+# to fail: one off its class, one above the power bound, and one above
+# the chain step but, from a_3 on, below the power bound.
+
+
 @given(EVEN_SEEDS, st.integers(3, 30))
+@example(4, 30)  # 4, 26, 1027, 1582607: a doctored a_4 between the bounds
 @settings(deadline=None)
 def test_even_sequence_invariants(seed, log_cutoff):
     terms = terms_from("even", seed, 1 << log_cutoff)
     if seed == FIRST_ELL["even"]:
         assert terms == build_sequence("even", 1 << log_cutoff)
-    assert mod3_invariant_holds("even", terms)
-    assert chain_inequalities_hold("even", terms)
-    assert power_chain_bound_holds("even", terms)
+    assert _steps_hold("even", terms)
     # even-indexed terms keep the residue that re-arms the interval search
     for j, a in enumerate(terms):
         if j % 2 == 0:
             assert a % 3 == 1
-    # a next term a_j off its class, above 2 a_{j-1}^2, or above
-    # 2^(e-1) a_1^e with e = 2^(j-1) fails its check
+    # a next term a_j off its class, above 2^(e-1) a_1^e with
+    # e = 2^(j-1), or above 2 a_{j-1}^2 fails its check
     nxt = interval("even", terms[-1])[1]
-    assert not mod3_invariant_holds("even", terms + (nxt + 1,))
-    assert not chain_inequalities_hold("even", terms + (2 * terms[-1] ** 2 + 1,))
+    assert not _steps_hold("even", terms + (nxt + 1,))
     if len(terms) > 1:  # a_j with j >= 2; a_1 is its own bound
         e, a1 = 2 ** (len(terms) - 1), terms[1]
-        assert not power_chain_bound_holds("even", terms + (2 ** (e - 1) * a1**e + 1,))
+        assert not _steps_hold("even", terms + (in_class(2 ** (e - 1) * a1**e + 1, nxt),))
+    assert not _steps_hold("even", terms + (in_class(2 * terms[-1] ** 2 + 1, nxt),))
 
 
 @given(ODD_SEEDS, st.integers(3, 30))
+@example(2, 30)  # 2, 5, 35, 1820, 4967690: a doctored a_6 between the bounds
 @settings(deadline=None)
 def test_odd_sequence_invariants(seed, log_cutoff):
     terms = terms_from("odd", seed, 1 << log_cutoff)
     if seed == FIRST_ELL["odd"]:
         assert terms == build_sequence("odd", 1 << log_cutoff)
-    assert mod3_invariant_holds("odd", terms)
-    assert chain_inequalities_hold("odd", terms)
-    assert power_chain_bound_holds("odd", terms)
-    # a next term a_j off its class, above (3/2) a_{j-1}^2, or above
-    # (3/2)^(e-1) a_1^e with e = 2^(j-1) fails its check
+    assert _steps_hold("odd", terms)
+    # a next term a_j off its class, above (3/2)^(e-1) a_1^e with
+    # e = 2^(j-1), or above (3/2) a_{j-1}^2 fails its check
     nxt = interval("odd", terms[-1])[1]
-    assert not mod3_invariant_holds("odd", terms + (nxt + 1,))
-    assert not chain_inequalities_hold("odd", terms + (3 * terms[-1] ** 2 // 2 + 1,))
+    assert not _steps_hold("odd", terms + (nxt + 1,))
     e, a1 = 2 ** len(terms), terms[0]
-    assert not power_chain_bound_holds("odd", terms + (3 ** (e - 1) * a1**e // 2 ** (e - 1) + 1,))
+    power = 3 ** (e - 1) * a1**e // 2 ** (e - 1) + 1
+    assert not _steps_hold("odd", terms + (in_class(power, nxt),))
+    assert not _steps_hold("odd", terms + (in_class(3 * terms[-1] ** 2 // 2 + 1, nxt),))
 
 
 def test_sequence_terms_are_big_integers():
@@ -199,13 +199,26 @@ def test_census_below_a_floor_returns_a_false_flag(monkeypatch):
     assert report["even_dominates"] is True and report["odd_dominates"] is False
 
 
-def test_interval_cover_even():
-    params = SingularParams(5, 1)
-    table = parity_table(params, 2000)
-    witnesses = interval_cover_check("even", params, table)
-    # [1027, 1582607] lies past the table, so the walk ends before it
+def census_witnesses(monkeypatch, p, cutoff):
+    """The census report and the (variant, l, n) of each interval it read."""
+    read = []
+
+    def spy(variant, params, ell, table):
+        n = _find_in_interval(variant, params, ell, table)
+        read.append((variant, ell, n))
+        return n
+
+    monkeypatch.setattr(distribution, "_find_in_interval", spy)
+    return parity_census(p, cutoff), read
+
+
+def test_interval_cover_even(monkeypatch):
+    report, read = census_witnesses(monkeypatch, 5, 2000)
+    assert report["even_dominates"]
+    witnesses = [(ell, n) for variant, ell, n in read if variant == "even"]
+    # [1027, 1582607] lies past X, so the walk ends before it
     assert [ell for ell, _ in witnesses] == [4]
-    exact = coefficients_theta(params, 2000).coeffs
+    exact = coefficients_theta(SingularParams(5, 1), 2000).coeffs
     for ell, n in witnesses:
         lo, hi = interval("even", ell)
         assert lo <= n <= hi
@@ -213,12 +226,12 @@ def test_interval_cover_even():
         assert all(exact[m] % 2 == 1 for m in range(lo, n))
 
 
-def test_interval_cover_odd():
-    params = SingularParams(5, 1)
-    table = parity_table(params, 2000)
-    witnesses = interval_cover_check("odd", params, table)
+def test_interval_cover_odd(monkeypatch):
+    report, read = census_witnesses(monkeypatch, 5, 2000)
+    assert report["odd_dominates"]
+    witnesses = [(ell, n) for variant, ell, n in read if variant == "odd"]
     assert [interval("odd", ell) for ell, _ in witnesses] == [(3, 5), (9, 35), (69, 1820)]
-    exact = coefficients_theta(params, 2000).coeffs
+    exact = coefficients_theta(SingularParams(5, 1), 2000).coeffs
     for ell, n in witnesses:
         lo, hi = interval("odd", ell)
         assert lo <= n <= hi
@@ -226,37 +239,28 @@ def test_interval_cover_odd():
         assert all(exact[m] % 2 == 0 for m in range(lo, n))
 
 
-def test_interval_cover_clipped_to_table():
-    # an interval is searched only when the table covers all of it; a
-    # table that covers no interval is refused (a DiscrepancyError is
-    # no ParameterError, so pytest.raises lets it through as a failure)
+def test_census_reads_only_the_intervals_inside_x(monkeypatch):
+    # below the top of a variant's first interval its floor is 0 and
+    # no interval is read; from that top on, the interval is read
+    for cutoff, want in (
+        (4, []),
+        (5, [("odd", 2, 3)]),  # C-bar_{5,1}(3) is the first odd value in [3, 5]
+        (25, [("odd", 2, 3)]),
+        (26, [("even", 4, 6), ("odd", 2, 3)]),  # C-bar_{5,1}(6): first even in [4, 26]
+    ):
+        report, read = census_witnesses(monkeypatch, 5, cutoff)
+        assert read == want
+        assert report["even_dominates"] and report["odd_dominates"]
+
+
+def test_census_flags_an_interval_without_its_witness(monkeypatch):
+    # degrees 9..35 planted all even: 50 odd values still clear the odd
+    # floor 1, but [9, 35] has no odd witness, so the proof fails
     params = SingularParams(5, 1)
-    message = r"^table degree 4 ends below the first odd interval \[3, 5\]; "
-    with pytest.raises(ParameterError, match=message):
-        interval_cover_check("odd", params, parity_table(params, 4))
-    witnesses = interval_cover_check("odd", params, parity_table(params, 5))
-    assert witnesses == [(2, 3)]  # C-bar_{5,1}(3) is the first odd value in [3, 5]
-
-
-def test_interval_cover_ends_before_a_partial_interval():
-    # cut to [4, 5], the interval [4, 26] has no even value and no
-    # guarantee, so the cover would check nothing: refused, not failed
-    params = SingularParams(5, 1)
-    message = r"^table degree 5 ends below the first even interval \[4, 26\]; "
-    with pytest.raises(ParameterError, match=message):
-        interval_cover_check("even", params, parity_table(params, 5))
-    with pytest.raises(ParameterError, match="^table degree 25 "):
-        interval_cover_check("even", params, parity_table(params, 25))
-    # C-bar_{5,1}(6) is the first even value in [4, 26]
-    assert interval_cover_check("even", params, parity_table(params, 26)) == [(4, 6)]
-
-
-def test_interval_cover_validation():
-    params = SingularParams(5, 1)
-    with pytest.raises(ParameterError, match="^variant must be 'even' or 'odd'"):
-        interval_cover_check("sideways", params, parity_table(params, 50))
-    # degrees below the first l are refused with the same message
-    for variant, degree, first in (("even", 3, "[4, 26]"), ("odd", 1, "[3, 5]")):
-        message = f"^table degree {degree} ends below the first {variant} interval "
-        with pytest.raises(ParameterError, match=message + re.escape(first)):
-            interval_cover_check(variant, params, parity_table(params, degree))
+    table = parity_table(params, 100)
+    planted = TruncSeriesF2(table.bits & ~(((1 << 27) - 1) << 9), 100)
+    monkeypatch.setattr(tables, "parity_table", lambda params, n: planted)
+    report = parity_census(5, 100)
+    assert report["odd_count"] == 50 and report["odd_lower_bound"] == 1
+    assert report["odd_dominates"] is False
+    assert report["even_dominates"] is True
