@@ -7,7 +7,10 @@ round-robin: each of --repeat passes runs every command once, in table
 order, so a slow stretch of a shared host spreads over every row
 instead of landing on one. The time kept is a command's best pass.
 The JSON file written to --out holds, per command, the seconds and the
-SHA-256 of its stdout, plus the Python version and the core count.
+SHA-256 of its stdout, plus the Python version and the core count. Its
+``import_seconds`` is the median, over --repeat fresh ``python -I``
+interpreters, of the time each takes to ``import singover.cli``: the
+cost a ``singover`` command pays before any work.
 Standard library only.
 
     python scripts/bench_commands.py --out BENCH.json
@@ -23,7 +26,11 @@ import io
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from singover import cli, tables
 
@@ -56,6 +63,21 @@ def run_once(argv):
     return seconds, out.getvalue()
 
 
+def import_seconds():
+    """Seconds a fresh interpreter takes to ``import singover.cli`` from
+    the sources this script imported, timed inside the child."""
+    code = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+        "import singover.cli; print(time.perf_counter() - t)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return float(done.stdout)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -77,11 +99,13 @@ def main():
                      "stdout_sha256": digests.pop()})
         print(f"{seconds:8.3f} s  {command}")
 
+    imports = [import_seconds() for _ in range(args.repeat)]
     report = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "repeat": args.repeat,
         "shrink": args.shrink,
+        "import_seconds": round(statistics.median(imports), 5),
         "commands": rows,
     }
     with open(args.out, "w") as fh:

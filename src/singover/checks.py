@@ -15,8 +15,7 @@ case; above the greatest a table would pass its degree cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from . import parity, tables
 from . import qseries as qs
@@ -201,10 +200,8 @@ def all_suites() -> list[dict]:
     return results
 
 
-@dataclass(frozen=True)
-class Suite:
-    run: Callable[..., list[dict]]
-    size: tuple[str, int, int] | None  # (argument, least, greatest)
+# run: the suite function; size: (argument, least, greatest), or None
+Suite = namedtuple("Suite", "run size")
 
 
 SUITES = {

@@ -8,9 +8,7 @@ fixed key order, decimal-string big integers, no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import inspect
 import json
 import sys
 
@@ -30,6 +28,9 @@ def _emit_json(report, out) -> None:
 
 
 def _emit_csv_rows(header, rows, out) -> None:
+    # imported here, so only a --format csv reply pays for the module
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -109,13 +110,20 @@ def cmd_compute(args, out) -> int:
 def cmd_verify(args, out) -> int:
     suite = checks.SUITES[args.suite]
     # The suite function's parameters are the options it reads; one
-    # without a default must be given.
+    # without a default must be given. They are read from its code
+    # object: the positional ones, then the keyword-only ones, and the
+    # defaults of the positional ones belong to the last of them.
+    code = suite.run.__code__
+    positional = code.co_argcount
+    names = code.co_varnames[: positional + code.co_kwonlyargcount]
+    defaulted = {*names[positional - len(suite.run.__defaults__ or ()) : positional]}
+    defaulted.update(suite.run.__kwdefaults__ or ())
     config = {}
-    for name, param in inspect.signature(suite.run).parameters.items():
+    for name in names:
         value = getattr(args, name)
         if value is not None:
             config[name] = value
-        elif param.default is param.empty:
+        elif name not in defaulted:
             raise ParameterError(f"--{name} is required for suite {args.suite!r}")
     if suite.size is not None:
         name, least, greatest = suite.size

@@ -388,12 +388,21 @@ def mul_f2(s: TruncSeriesF2, t: TruncSeriesF2) -> TruncSeriesF2:
     return TruncSeriesF2(_mul_bits(s.bits, t.bits) & mask, n)
 
 
-# Byte tables for bytes.translate: _SPREAD[d][c] maps a byte b to byte c
-# of its spread b(q^d), which is b's binary digits read in base 2^d.
-_SPREAD = {
-    d: [bytes(int(f"{b:b}", 1 << d) >> 8 * c & 255 for b in range(256)) for c in range(d)]
-    for d in (2, 4)
-}
+def _spread_tables(d: int) -> list[bytes]:
+    """Byte tables for bytes.translate: table c maps a byte b to byte c of
+    its spread b(q^d), which is b's binary digits read in base 2^d.
+
+    The spreads of 0..255 are built one bit at a time: those of
+    2^j..2^(j+1)-1 are those of 0..2^j-1 with bit d*j set.
+    """
+    spreads = [0]
+    for j in range(8):
+        high = 1 << d * j
+        spreads += [v | high for v in spreads]
+    return [bytes([v >> 8 * c & 255 for v in spreads]) for c in range(d)]
+
+
+_SPREAD = {d: _spread_tables(d) for d in (2, 4)}
 
 
 def _spread(x: int, d: int) -> int:

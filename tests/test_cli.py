@@ -1,5 +1,6 @@
 """Command-line contract: schemas, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from singover import checks, cli, tables
+from singover.errors import ParameterError
 from singover.params import SingularParams
 from singover.qseries import TruncSeriesF2
 
@@ -193,6 +195,37 @@ def test_zero_case_checks_exit_2(capsys, args):
     code, out, err = run_cli(["verify"] + args, capsys)
     assert code == 2 and "no cases" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--suite", "oracle", "--n-max", "30"], "k"),
+        (["--suite", "oracle", "--k", "5", "--n-max", "30"], "i"),
+    ],
+    ids=["oracle-no-k", "oracle-no-i"],
+)
+def test_verify_without_a_required_option_exits_2(capsys, args, option):
+    code, out, err = run_cli(["verify"] + args, capsys)
+    assert code == 2 and out == ""
+    assert err == f"parameter error: --{option} is required for suite 'oracle'\n"
+
+
+def test_verify_reads_every_kind_of_suite_parameter(monkeypatch):
+    # positional and keyword-only parameters, each with and without a
+    # default: the config holds the given ones, in signature order
+    def suite(k, i=2, *, n_max, p=5):
+        return [{"name": "seen", "passed": True}]
+
+    monkeypatch.setitem(checks.SUITES, "seen", checks.Suite(suite, None))
+    given = {"k": 3, "i": None, "n_max": 7, "p": None, "ell_max": None}
+    out = io.StringIO()
+    assert cli.cmd_verify(argparse.Namespace(suite="seen", fmt="json", **given), out) == 0
+    assert list(json.loads(out.getvalue())["config"].items()) == [("k", 3), ("n_max", 7)]
+    for name in ("k", "n_max"):
+        args = argparse.Namespace(suite="seen", fmt="json", **{**given, name: None})
+        with pytest.raises(ParameterError, match=f"^--{name} is required for suite 'seen'$"):
+            cli.cmd_verify(args, io.StringIO())
 
 
 def test_sizes_outside_the_registry_bounds_exit_2(capsys):

@@ -204,7 +204,8 @@ def _inv_by_full_length_newton(t):
 @pytest.mark.parametrize("d", [2, 4])
 def test_spread_spreads_every_bit(d):
     rng = random.Random(0x5B10 + d)
-    cases = [0, 1, 1 << 100_000]
+    # every byte value once, so every entry of every byte table is read
+    cases = [0, 1, 1 << 100_000, int.from_bytes(bytes(range(256)), "little")]
     widths = (1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 1000, 20_001)
     cases += [rng.getrandbits(w) for w in widths for _ in range(5)]
     for x in cases:

@@ -47,12 +47,18 @@ def test_cap_refusal():
 
 
 def test_params_validation():
-    with pytest.raises(ParameterError):
-        SingularParams(2, 1)
-    with pytest.raises(ParameterError):
-        SingularParams(5, 3)
-    with pytest.raises(ParameterError):
-        SingularParams(5, 0)
+    for k, i, message in [
+        (2, 1, "modulus k must be >= 3, got 2"),
+        (5, 3, "residue i must satisfy 1 <= i <= floor(k/2) = 2, got 3"),
+        (5, 0, "residue i must satisfy 1 <= i <= floor(k/2) = 2, got 0"),
+        (5.0, 1, "k and i must be integers, got (5.0, 1)"),
+        # a bool is an int, but no modulus or residue
+        (5, True, "k and i must be integers, got (5, True)"),
+        (True, 1, "k and i must be integers, got (True, 1)"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            SingularParams(k, i)
+        assert str(exc.value) == message
     SingularParams(4, 2)  # i = k/2 is allowed
 
 

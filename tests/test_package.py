@@ -1,13 +1,17 @@
-"""The package root: the README's library example runs, and the root
-exports exactly the names it lists."""
+"""The package root: the README's library example runs, the root
+exports exactly the names it lists, and importing the command line
+loads no reflection or csv module."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import singover
 from singover import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(singover.__file__).resolve().parents[1])
 
 
 def _library_block():
@@ -38,3 +42,17 @@ def test_root_exports_every_exception_class():
         if isinstance(value, type) and issubclass(value, Exception)
     }
     assert classes <= set(singover.__all__)
+
+
+def test_cli_import_loads_no_reflection_or_csv_modules():
+    # every command pays this import in a fresh interpreter; -S keeps
+    # site hooks, which may preload typing, out of the count
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import singover.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, SRC],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []
