@@ -537,6 +537,46 @@ def test_verify_intervals_check_with_every_l_skipped_fails(capsys, monkeypatch):
     assert odd["detail"]["skipped"] == [2] and odd["detail"]["skipped_count"] == 1
 
 
+def test_verify_intervals_reports_a_failed_guarantee_as_records(capsys, monkeypatch):
+    # an all-odd table holds no even value: every even interval fails
+    # once the table covers it, as a record in the report, with nothing
+    # on stderr; the odd intervals still find their witnesses
+    monkeypatch.setattr(
+        tables, "parity_table", lambda params, n: TruncSeriesF2((1 << (n + 1)) - 1, n)
+    )
+    argv = ["verify", "--suite", "intervals", "--p", "5", "--ell-max", "13"]
+    failures = [
+        {
+            "ell": ell,
+            "error": f"no even value of C-bar_{{5,1}} in [{ell}, {ell * (3 * ell + 1) // 2}] "
+            f"(l = {ell}); this contradicts a proven statement",
+        }
+        for ell in (4, 7, 10, 13)
+    ]
+    assert failures[0]["error"] == (
+        "no even value of C-bar_{5,1} in [4, 26] (l = 4); this contradicts a proven statement"
+    )
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (1, "")
+    even, odd = json.loads(out)["checks"]
+    assert not even["passed"] and even["detail"]["witnesses"] == []
+    assert even["detail"]["failures"] == failures and even["detail"]["failure_count"] == 4
+    assert odd["passed"] and [w["n"] for w in odd["detail"]["witnesses"]] == [3, 9, 15, 21]
+    assert sha256(out.encode()).hexdigest() == (
+        "d48ad5e1a6c4f8e429a0358e2f95d51ea4f6f07c3e96f6ef9a82c331fdcf7866"
+    )
+    code, out, err = run_cli(argv + ["--format", "plain"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL intervals/even-witness-p5-ell13 ")
+    assert str(failures)[1:-1] in lines[0]
+    assert lines[1].startswith("PASS intervals/odd-witness-p5-ell13 ")
+    assert lines[2:] == ["FAIL intervals"]
+    assert sha256(out.encode()).hexdigest() == (
+        "d5961f3867cbcd6297b00cc00b8cb8e27a92276aa8049a4688d4c9ce76459e42"
+    )
+
+
 @pytest.mark.parametrize("p", ["9", "4"])
 def test_verify_intervals_rejects_composite_p(capsys, p):
     code, out, err = run_cli(
