@@ -8,12 +8,12 @@ count, and mechanically verifies the parity and distribution statements
 that follow from the pentagonal-series convolution identity.
 
 The package root exports the table builders, their series types and the
-exception classes; the checks and the layers below them are reached
+exception class; the checks and the layers below them are reached
 through their modules.
 """
 
 from .distribution import parity_census
-from .errors import DiscrepancyError, ParameterError, PreconditionError, SingoverError
+from .errors import ParameterError
 from .params import SingularParams
 from .qseries import TruncSeriesF2, TruncSeriesZ
 from .tables import coefficients_product, coefficients_theta, parity_table, special_form
@@ -21,10 +21,7 @@ from .tables import coefficients_product, coefficients_theta, parity_table, spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscrepancyError",
     "ParameterError",
-    "PreconditionError",
-    "SingoverError",
     "SingularParams",
     "TruncSeriesF2",
     "TruncSeriesZ",

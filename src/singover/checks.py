@@ -19,7 +19,6 @@ from collections import namedtuple
 
 from . import parity, tables
 from . import qseries as qs
-from .errors import PreconditionError, SingoverError
 from .oracle import MAX_CAP, dp_table
 from .params import SingularParams
 
@@ -134,7 +133,7 @@ def exclusions(p: int, ell_max: int) -> list[dict]:
 def intervals(p: int, ell_max: int) -> list[dict]:
     """The even and odd interval witnesses of C-bar_{p,1} for l <= ell_max.
 
-    An l whose target lies on the form for i = 1 is outside the
+    An l whose target l(3l+s) lies on the form for i = 1 is outside the
     guarantee: it is skipped, not failed. For a prime p the exclusions
     leave no such l. A check that checked no l does not pass.
 
@@ -144,8 +143,10 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     ell_max(3 ell_max + 1)/2. An interval that runs past the table with
     no witness before its end, for which the finder returns None,
     doubles the degree, up to the top, and is asked again. Parity tables
-    are prefix-stable, so a deeper table moves no witness found before;
-    an interval fails only once the table covers it.
+    are prefix-stable, so a deeper table moves no witness found before.
+    An interval fails only once the table covers it and the finder
+    still returns None: that contradicts the proven statement, and the
+    failure record says so.
     """
     parity._require_prime(p)
     params = SingularParams(p, 1)
@@ -160,15 +161,21 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     ):
         found, failures, skipped = [], [], []
         for ell in range(parity.FIRST_ELL[variant], ell_max + 1, 3):
-            try:
-                while (n := finder(params, ell, table)) is None:
-                    table = tables.parity_table(params, min(2 * table.trunc_degree, top))
-            except PreconditionError:
+            lo, hi = parity.interval(variant, ell)
+            if parity.on_form(p, 1, 2 * hi):
                 skipped.append(ell)
-            except SingoverError as exc:
-                failures.append({"ell": ell, "error": str(exc)})
+                continue
+            while (n := finder(ell, table)) is None and table.trunc_degree < hi:
+                table = tables.parity_table(params, min(2 * table.trunc_degree, top))
+            if n is None:
+                failures.append(
+                    {
+                        "ell": ell,
+                        "error": f"no {variant} value of C-bar_{{{p},1}} in [{lo}, {hi}] "
+                        f"(l = {ell}); this contradicts a proven statement",
+                    }
+                )
             else:
-                lo, hi = parity.interval(variant, ell)
                 found.append({"n": n, "parity": variant, "lo": lo, "hi": hi, "ell": ell})
         results.append(
             {

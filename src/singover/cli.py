@@ -14,7 +14,7 @@ import sys
 
 from . import checks, distribution, tables
 from .checks import CAP_EXACT, CAP_PARITY
-from .errors import DiscrepancyError, ParameterError, SingoverError
+from .errors import ParameterError
 from .params import SingularParams
 from .parity import FIRST_ELL
 
@@ -216,12 +216,6 @@ def main(argv=None) -> int:
         return handler[args.command](args, sys.stdout)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except DiscrepancyError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except SingoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

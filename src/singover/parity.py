@@ -14,10 +14,12 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   twice: whole, and per n from degree 1 on, where the identity is
   stated. ``convolution_parity_check`` asks it about a single n.
 * ``_residue_witness`` answers "is T = k m^2 +- m(k-2i) for some
-  m >= 1, and for which i <= k/2" with one integer square root. It
-  serves ``exclusion_counterexamples``, which asks it for every l of
-  the form exclusions l(3l +- 1) and counts a hit at i = 1, and the
-  precondition of the interval finders below.
+  m >= 1, and for which i <= k/2" with one integer square root, and
+  ``on_form`` asks whether that i is the caller's own. It serves
+  ``exclusion_counterexamples``, which asks it for every l of the form
+  exclusions l(3l +- 1) at i = 1, and ``checks.intervals``, which skips
+  an l whose target is on the form: the interval guarantee covers only
+  the targets off it.
 * ``interval`` gives each variant's interval, [l, l(3l+1)/2] (even)
   or [2l-1, l(3l-1)/2] (odd). Its ``_sign`` is the one place a variant
   name is checked. With s = +1 (even) or -1 (odd), the upper end
@@ -26,14 +28,14 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   first l of each variant, where the exclusion scan, the interval
   checks and the witness sequences start.
 * ``find_even_in_interval`` and ``find_odd_in_interval`` return the
-  smallest degree n of the variant's parity in its interval. Their
-  precondition refuses an l only when ``_residue_witness`` finds the
-  target on the form of the caller's own i. Each reads its own window
+  smallest degree n of the variant's parity in its interval, or None.
+  They only find: whether the guarantee covers l, and whether a None
+  is a failure, is the caller's to decide. Each reads its own window
   of the table, the interval cut at the table's end, as one run of
   bits: the proof's degrees begin at the low end, so the smallest
   witness lies just past it, and a table that ends inside an interval
   still answers when the witness lies before its end. If none does,
-  they return None, and a deeper table may still hold one.
+  a deeper table may still hold one.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 
 from . import qseries as qs
-from .errors import DiscrepancyError, ParameterError, PreconditionError
+from .errors import ParameterError
 from .params import SingularParams
 
 # Each variant's sign s in l(3l+s), and its first l: the smallest l >= 2
@@ -127,26 +129,29 @@ def first_convolution_mismatch(params: SingularParams, table) -> int | None:
     return bad[0] if bad else None
 
 
-def _residue_witness(k: int, target: int) -> tuple[int, int, int] | None:
-    """The i <= k/2 with target = k m^2 +- m(k-2i) for some m >= 1, as
-    (i, m, sign), or None.
+def _residue_witness(k: int, target: int) -> int | None:
+    """The i <= k/2 with target = k m^2 +- m(k-2i) for some m >= 1, or
+    None.
 
     With d = k - 2i in [0, k-2], target lies in [k m^2 - (k-2)m,
     k m^2 + (k-2)m]. These ranges are disjoint for distinct m (the next
     one starts 4m + 2 higher), so at most one (i, m) takes the target,
     and k m(m-1) < target < k(m+1)^2 leaves m = isqrt(target // k) or
-    one more. That m fixes s d = target/m - k m, and d fixes i. At
-    d = 0 both signs coincide and minus is reported.
+    one more. That m fixes +-d = target/m - k m, and d fixes i.
     """
     r = math.isqrt(target // k)
     for m in (r, r + 1):
         if m < 1 or target % m:
             continue
-        s_d = target // m - k * m
-        d = abs(s_d)
+        d = abs(target // m - k * m)
         if d <= k - 2 and (k - d) % 2 == 0:
-            return (k - d) // 2, m, 1 if s_d > 0 else -1
+            return (k - d) // 2
     return None
+
+
+def on_form(k: int, i: int, target: int) -> bool:
+    """Whether target = k m^2 +- m(k-2i) for some m >= 1."""
+    return _residue_witness(k, target) == i
 
 
 # Miller-Rabin to these bases is exact below the bound (Sorenson and
@@ -190,7 +195,7 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     that l(3l-1), l = 2 mod 3, is not p m^2 +- m(p-2) for any m >= 1.
     Both hold for every prime p >= 5, so the expected result is the
     empty list; each l costs one integer square root in
-    ``_residue_witness``, and a hit counts only at residue i = 1. An
+    ``on_form``, and a hit counts only at residue i = 1. An
     ell_max below the variant's first l, which would check no l, is
     refused.
     """
@@ -202,59 +207,35 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     return [
         l
         for l in range(first, ell_max + 1, 3)
-        if (hit := _residue_witness(p, l * (3 * l + s))) and hit[0] == 1
+        if on_form(p, 1, l * (3 * l + s))
     ]
 
 
-def _require_excluded(params: SingularParams, target: int) -> None:
-    hit = _residue_witness(params.k, target)
-    if hit is None or hit[0] != params.i:
-        return
-    _, m, sign = hit
-    raise PreconditionError(
-        f"{target} = k m^2 {'+' if sign > 0 else '-'} m(k-2i) for "
-        f"(k, i, m) = ({params.k}, {params.i}, {m}); the interval "
-        "guarantee does not apply"
-    )
-
-
-def _find_in_interval(variant: str, params: SingularParams, ell: int, table) -> int | None:
+def _find_in_interval(variant: str, ell: int, table) -> int | None:
     """Smallest n in ``interval(variant, l)`` of the variant's parity.
 
-    Requires the target l(3l+s) to avoid the quadratic form of params.i
-    (checked here); the form of another residue does not touch the
-    guarantee. Only the covered part [lo, min(hi, N)] of a table of
-    degree N is read, as one window of bits: the lowest set bit of the
-    window (odd) or of its complement (even). A witness there is the
-    interval's smallest, whatever lies past N. With none there, an
-    interval that runs past N gives None, since a deeper table may
-    still hold one; a covered interval, where existence is guaranteed,
-    raises DiscrepancyError.
+    Only the covered part [lo, min(hi, N)] of a table of degree N is
+    read, as one window of bits: the lowest set bit of the window (odd)
+    or of its complement (even). A witness there is the interval's
+    smallest, whatever lies past N. With none there it returns None,
+    both when the interval runs past N and when it is covered.
     """
     if ell < 2:
         raise ParameterError(f"l must be >= 2, got {ell}")
     lo, hi = interval(variant, ell)
-    _require_excluded(params, 2 * hi)
     end = min(hi, table.trunc_degree)
     width = max(end - lo + 1, 0)
     found = table.window(lo, end) if width else 0
     if _sign(variant) > 0:
         found ^= (1 << width) - 1
-    if found:
-        return lo + (found & -found).bit_length() - 1
-    if end < hi:
-        return None
-    raise DiscrepancyError(
-        f"no {variant} value of C-bar_{{{params.k},{params.i}}} "
-        f"in [{lo}, {hi}] (l = {ell}); this contradicts a proven statement"
-    )
+    return lo + (found & -found).bit_length() - 1 if found else None
 
 
-def find_even_in_interval(params: SingularParams, ell: int, table) -> int | None:
+def find_even_in_interval(ell: int, table) -> int | None:
     """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0."""
-    return _find_in_interval("even", params, ell, table)
+    return _find_in_interval("even", ell, table)
 
 
-def find_odd_in_interval(params: SingularParams, ell: int, table) -> int | None:
+def find_odd_in_interval(ell: int, table) -> int | None:
     """Smallest n in [2l-1, l(3l-1)/2] whose bit in the parity table is 1."""
-    return _find_in_interval("odd", params, ell, table)
+    return _find_in_interval("odd", ell, table)

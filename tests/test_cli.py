@@ -499,7 +499,7 @@ def claim_targets(monkeypatch, even_ells=(), odd_ells=()):
     monkeypatch.setattr(
         checks.parity,
         "_residue_witness",
-        lambda k, t: (1, 1, -1) if t in claimed else real(k, t),
+        lambda k, t: 1 if t in claimed else real(k, t),
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singover import distribution, tables
+from singover import distribution, parity, tables
 from singover.distribution import _steps_hold, build_sequence, parity_census
 from singover.errors import ParameterError
 from singover.params import SingularParams
@@ -203,8 +203,8 @@ def census_witnesses(monkeypatch, p, cutoff):
     """The census report and the (variant, l, n) of each interval it read."""
     read = []
 
-    def spy(variant, params, ell, table):
-        n = _find_in_interval(variant, params, ell, table)
+    def spy(variant, ell, table):
+        n = _find_in_interval(variant, ell, table)
         read.append((variant, ell, n))
         return n
 
@@ -264,3 +264,13 @@ def test_census_flags_an_interval_without_its_witness(monkeypatch):
     assert report["odd_count"] == 50 and report["odd_lower_bound"] == 1
     assert report["odd_dominates"] is False
     assert report["even_dominates"] is True
+
+
+def test_census_never_asks_about_the_hypothesis(monkeypatch):
+    # with every target placed on the form for i = 1, the census gives
+    # the report it gives unpatched: for a prime p the exclusions keep
+    # its targets off the form, so it never asks
+    expected = parity_census(5, 10**4)
+    monkeypatch.setattr(parity, "_residue_witness", lambda k, target: 1)
+    assert parity.on_form(5, 1, 4 * 13)
+    assert parity_census(5, 10**4) == expected

@@ -41,6 +41,7 @@ def test_root_exports_every_exception_class():
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception)
     }
+    assert classes == {"ParameterError"}
     assert classes <= set(singover.__all__)
 
 

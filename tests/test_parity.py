@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singover import checks, parity, tables
+from singover import checks, tables
 from singover import qseries as qs
-from singover.errors import DiscrepancyError, ParameterError, PreconditionError
+from singover.errors import ParameterError
 from singover.params import SingularParams
 from singover.parity import (
     FIRST_ELL,
@@ -22,8 +22,8 @@ from singover.parity import (
     find_odd_in_interval,
     first_convolution_mismatch,
     interval,
+    on_form,
     _find_in_interval,
-    _require_excluded,
     _require_prime,
     _residue_witness,
 )
@@ -273,49 +273,41 @@ def direct_residue_witnesses(k, bound):
     return found
 
 
-def residue(k, target):
-    """The residue i whose form takes the target, or None."""
-    hit = _residue_witness(k, target)
-    return hit and hit[0]
-
-
 def test_form_witness_examples():
-    assert _residue_witness(5, 26) == (1, 2, +1)  # 5*4 + 2*3
-    assert _residue_witness(5, 2) == (1, 1, -1)  # 5 - 3
-    assert _residue_witness(5, 42) == (2, 3, -1)  # 5*9 - 3*1
+    assert _residue_witness(5, 26) == 1  # 5*4 + 2*3
+    assert _residue_witness(5, 2) == 1  # 5 - 3
+    assert _residue_witness(5, 42) == 2  # 5*9 - 3*1
     assert _residue_witness(5, 52) is None  # 52 = 4*13 escapes both forms
-    assert _residue_witness(4, 30) == (1, 3, -1)  # 4*9 - 3*2
-    assert _residue_witness(4, 16) == (2, 2, -1)  # i = k/2: both signs, minus wins
-    assert _residue_witness(4, 12) == (1, 2, -1)  # 4*4 - 2*2, not 4 m^2
+    assert _residue_witness(4, 30) == 1  # 4*9 - 3*2
+    assert _residue_witness(4, 16) == 2  # i = k/2: both signs
+    assert _residue_witness(4, 12) == 1  # 4*4 - 2*2, not 4 m^2
     assert _residue_witness(4, 10) is None
+    assert on_form(5, 1, 26) and not on_form(5, 2, 26)
+    assert on_form(5, 2, 42) and not on_form(5, 1, 42)
+    assert not on_form(5, 1, 52) and not on_form(5, 2, 52)
 
 
 @given(st.integers(3, 12), st.data(), st.integers(1, 400))
 @settings(max_examples=80, deadline=None)
 def test_form_witness_matches_direct_evaluation(k, data, target):
-    # the hit counts for i only when its residue is i, as in the
-    # exclusion scan and the interval precondition
+    # the target is on the form of i exactly when some (m, sign) of i
+    # takes it, as the exclusion scan and the interval skips ask
     i = data.draw(st.integers(1, k // 2))
-    hit = _residue_witness(k, target)
-    expected = direct_form_witnesses(k, i, target).get(target)
-    assert (hit[1:] if hit and hit[0] == i else None) == expected
+    assert on_form(k, i, target) == (target in direct_form_witnesses(k, i, target))
 
 
 @pytest.mark.parametrize("k", range(3, 17))
 def test_residue_witness_matches_direct_evaluation(k):
     # every target up to the bound: at most one (i, m, sign) takes it,
-    # and _residue_witness returns that one or None
+    # and _residue_witness returns its i or None
     bound = 3000
     direct = direct_residue_witnesses(k, bound)
     for t in range(1, bound + 1):
         hits = direct.get(t, [])
         assert len(hits) <= 1, (t, hits)
-        assert _residue_witness(k, t) == (hits[0] if hits else None), t
+        assert _residue_witness(k, t) == (hits[0][0] if hits else None), t
     found = {hit for (hit,) in direct.values()}
     assert {sign for _, _, sign in found} == {-1, +1}
-    # at i = k/2 both signs coincide and minus is reported
-    middle = {sign for i, _, sign in found if 2 * i == k}
-    assert middle == ({-1} if k % 2 == 0 else set())
     assert len(direct) < bound  # some targets no residue takes
 
 
@@ -323,7 +315,7 @@ def test_residue_witness_matches_direct_evaluation(k):
     "p,ell", [(5, 4), (7, 7), (11, 10), (13, 4), (17, 13), (19, 7)]
 )
 def test_even_exclusion_examples(p, ell):
-    assert residue(p, ell * (3 * ell + 1)) != 1
+    assert not on_form(p, 1, ell * (3 * ell + 1))
     assert ell not in exclusion_counterexamples(p, ell, "even")
 
 
@@ -331,7 +323,7 @@ def test_even_exclusion_examples(p, ell):
     "p,ell", [(5, 2), (7, 5), (13, 8), (11, 2), (17, 11), (19, 14)]
 )
 def test_odd_exclusion_examples(p, ell):
-    assert residue(p, ell * (3 * ell - 1)) != 1
+    assert not on_form(p, 1, ell * (3 * ell - 1))
     assert ell not in exclusion_counterexamples(p, ell, "odd")
 
 
@@ -365,13 +357,13 @@ def test_exclusion_targets_match_direct_evaluation():
     # the targets l(3l +- 1), l <= 40, against every admissible (k, i)
     # with k <= 16: some are form values (l = 9's target 252 lies on the
     # form of (5, 2)), and _residue_witness must find exactly those, with
-    # their i and m
+    # their i
     hits = 0
     for k in range(3, 17):
         direct = direct_residue_witnesses(k, 40 * 121)
         for ell in range(2, 41):
             for t in (ell * (3 * ell + 1), ell * (3 * ell - 1)):
-                assert [_residue_witness(k, t)] == direct.get(t, [None])
+                assert [_residue_witness(k, t)] == [i for i, _, _ in direct.get(t, [])] or [None]
                 hits += t in direct
     assert hits > 0
     for p in (5, 7):
@@ -434,7 +426,7 @@ def test_even_witness_exists(p, ell):
     params = SingularParams(p, 1)
     hi = ell * (3 * ell + 1) // 2
     table = parity_table(params, hi)
-    w = find_even_in_interval(params, ell, table)
+    w = find_even_in_interval(ell, table)
     assert ell <= w <= hi
     # independently recomputed parity and minimality
     exact = coefficients_theta(params, hi).coeffs
@@ -447,19 +439,22 @@ def test_odd_witness_exists(p, ell):
     params = SingularParams(p, 1)
     hi = ell * (3 * ell - 1) // 2
     table = parity_table(params, hi)
-    w = find_odd_in_interval(params, ell, table)
+    w = find_odd_in_interval(ell, table)
     assert 2 * ell - 1 <= w <= hi
     exact = coefficients_theta(params, hi).coeffs
     assert exact[w] % 2 == 1
     assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w))
 
 
-def test_witness_precondition_gate():
+def test_witness_finder_does_not_ask_the_hypothesis():
     # 30 = l(3l+1) for l = 3 equals 4*3^2 - 2*3, so the hypothesis fails
+    # for (4, 1); the finder reads the interval all the same and leaves
+    # the skip to its caller
     params = SingularParams(4, 1)
     table = parity_table(params, 60)
-    with pytest.raises(PreconditionError):
-        find_even_in_interval(params, 3, table)
+    assert on_form(4, 1, 30) and not on_form(4, 2, 30)
+    lo, hi = interval("even", 3)
+    assert find_even_in_interval(3, table) == _scan_by_degree(table, lo, hi, 0)
 
 
 def test_witness_precondition_asks_only_its_own_residue():
@@ -467,8 +462,9 @@ def test_witness_precondition_asks_only_its_own_residue():
     # (where k-2i = 1); the guarantee for i = 1 still holds
     params = SingularParams(5, 1)
     table = parity_table(params, 9 * 28 // 2)
-    assert _residue_witness(5, 252) == (2, 7, +1)
-    w = find_even_in_interval(params, 9, table)
+    assert _residue_witness(5, 252) == 2
+    assert on_form(5, 2, 252) and not on_form(5, 1, 252)
+    w = find_even_in_interval(9, table)
     assert 9 <= w <= 126 and not bit(table, w)
 
 
@@ -491,25 +487,6 @@ def residue_walk(k, target):
     return None
 
 
-def refusal(params, target):
-    """The PreconditionError text for the target, or None if it passes."""
-    try:
-        _require_excluded(params, target)
-    except PreconditionError as exc:
-        return str(exc)
-    return None
-
-
-def refusal_text(target, k, hit):
-    if hit is None:
-        return None
-    i, m, sign = hit
-    return (
-        f"{target} = k m^2 {'+' if sign > 0 else '-'} m(k-2i) for (k, i, m) = "
-        f"({k}, {i}, {m}); the interval guarantee does not apply"
-    )
-
-
 @pytest.mark.parametrize(
     # past the targets the walk takes one root per i <= T/2: 1.7 million
     # for p = 10000019 at l <= 120, so that p stops at l = 60
@@ -517,14 +494,17 @@ def refusal_text(target, k, hit):
 )
 def test_strict_precondition_matches_the_residue_walk(p, ell_max):
     # every target l(3l +- 1) with l <= ell_max: the solver finds the
-    # residue the walk finds, and the report skips the l of residue 1
-    # (none, by the exclusions)
+    # residue the walk finds, on_form holds for i = 1 exactly when the
+    # walk's i is 1, and the report skips those l (none, by the
+    # exclusions)
     skipped = {"even": [], "odd": []}
     for ell in range(2, ell_max + 1):
         for variant, t in (("even", ell * (3 * ell + 1)), ("odd", ell * (3 * ell - 1))):
             hit = residue_walk(p, t)
-            assert _residue_witness(p, t) == hit
-            if hit and hit[0] == 1 and ell % 3 == FIRST_ELL[variant] % 3:
+            walk_i = hit and hit[0]
+            assert _residue_witness(p, t) == walk_i
+            assert on_form(p, 1, t) == (walk_i == 1)
+            if walk_i == 1 and ell % 3 == FIRST_ELL[variant] % 3:
                 skipped[variant].append(ell)
     for check, variant in zip(checks.intervals(p, ell_max), ("even", "odd")):
         assert check["detail"]["skipped"] == skipped[variant][:10]
@@ -533,19 +513,17 @@ def test_strict_precondition_matches_the_residue_walk(p, ell_max):
 
 def test_at_most_one_residue_takes_a_target():
     # the ranges [k m^2 - (k-2)m, k m^2 + (k-2)m] are disjoint for
-    # distinct m, so at most one (i, m) takes a target; the precondition
-    # asks for that one, and refuses only when it is params.i
+    # distinct m, so at most one (i, m) takes a target; on_form asks for
+    # that one, and holds only when it is the caller's i
     taken = 0
     for k in range(3, 17):
         direct = direct_residue_witnesses(k, 1000)
         for t in range(1, 1001):
             hits = direct.get(t, [])
             assert len(hits) <= 1
-            assert _residue_witness(k, t) == (hits[0] if hits else None)
+            assert _residue_witness(k, t) == (hits[0][0] if hits else None)
             for i in range(1, k // 2 + 1):
-                own = hits[0] if hits and hits[0][0] == i else None
-                params = SingularParams(k, i)
-                assert refusal(params, t) == refusal_text(t, k, own)
+                assert on_form(k, i, t) == (bool(hits) and hits[0][0] == i)
             taken += bool(hits)
     assert taken > 1000
 
@@ -565,11 +543,11 @@ def test_witness_table_too_short():
     # still answers when the witness lies before its end, and returns
     # None, asking for a deeper table, when none does
     params = SingularParams(5, 1)
-    assert find_even_in_interval(params, 4, parity_table(params, 26)) == 6
+    assert find_even_in_interval(4, parity_table(params, 26)) == 6
     for n_max in (6, 20):
-        assert find_even_in_interval(params, 4, parity_table(params, n_max)) == 6
+        assert find_even_in_interval(4, parity_table(params, n_max)) == 6
     for n_max in (0, 3, 5):
-        assert find_even_in_interval(params, 4, parity_table(params, n_max)) is None
+        assert find_even_in_interval(4, parity_table(params, n_max)) is None
 
 
 def _full_depth_report(p, ell_max):
@@ -580,14 +558,16 @@ def _full_depth_report(p, ell_max):
     for variant, finder in (("even", find_even_in_interval), ("odd", find_odd_in_interval)):
         found, failures, skipped = [], [], []
         for ell in range(FIRST_ELL[variant], ell_max + 1, 3):
-            try:
-                n = finder(params, ell, table)
-            except PreconditionError:
+            lo, hi = interval(variant, ell)
+            if on_form(p, 1, 2 * hi):
                 skipped.append(ell)
-            except DiscrepancyError as exc:
-                failures.append({"ell": ell, "error": str(exc)})
+            elif (n := finder(ell, table)) is None:
+                error = (
+                    f"no {variant} value of C-bar_{{{p},1}} in [{lo}, {hi}] (l = {ell}); "
+                    "this contradicts a proven statement"
+                )
+                failures.append({"ell": ell, "error": error})
             else:
-                lo, hi = interval(variant, ell)
                 found.append({"n": n, "parity": variant, "lo": lo, "hi": hi, "ell": ell})
         results.append(
             {
@@ -643,12 +623,11 @@ def test_intervals_grow_the_table_to_the_top_on_a_planted_odd_tail(monkeypatch):
 
 
 def test_witness_discrepancy_on_fabricated_table():
-    # an all-odd table cannot happen for real parameters; fabricate one
-    # to pin the discrepancy path
-    params = SingularParams(5, 1)
+    # an all-odd table cannot happen for real parameters; fabricate one:
+    # the finder returns None on the covered interval, and the suite's
+    # failure record is pinned in tests/test_cli.py
     fake = qs.reduce_mod2(qs.TruncSeriesZ((1,) * 27))
-    with pytest.raises(DiscrepancyError):
-        find_even_in_interval(params, 4, fake)
+    assert find_even_in_interval(4, fake) is None
 
 
 def _scan_by_degree(table, lo, hi, want_bit):
@@ -666,7 +645,6 @@ def _fabricated(kind, odd_degrees, n_max):
 
 @pytest.mark.parametrize("kind", ["parity", "coeff"])
 def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
-    params = SingularParams(5, 1)
     n_max = 40
     for variant, ell in (("even", 4), ("odd", 5)):
         lo, hi = interval(variant, ell)  # [4, 26] and [9, 35]
@@ -675,18 +653,13 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
             # a table whose degrees of the variant's parity are exactly these
             odd_degrees = witnesses if variant == "odd" else set(range(n_max + 1)) - witnesses
             table = _fabricated(kind, odd_degrees, table_degree)
-            return _find_in_interval(variant, params, ell, table)
+            return _find_in_interval(variant, ell, table)
 
         assert find({lo}) == lo
         assert find({hi}) == hi
         assert find({hi, lo + 1}) == lo + 1
         # degrees just outside [lo, hi] do not count
-        with pytest.raises(DiscrepancyError) as exc:
-            find({lo - 1, hi + 1})
-        assert str(exc.value) == (
-            f"no {variant} value of C-bar_{{5,1}} in [{lo}, {hi}] (l = {ell}); "
-            "this contradicts a proven statement"
-        )
+        assert find({lo - 1, hi + 1}) is None
         # a table that ends inside [lo, hi] is read up to its end: a
         # witness there is returned, and with none there (one past the
         # end does not count) the table is too short: None
@@ -698,10 +671,8 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
-def test_interval_scan_matches_a_per_degree_scan(p, monkeypatch):
-    # the window read alone, at every l: the precondition, which refuses
-    # a few l per p here, is lifted
-    monkeypatch.setattr(parity, "_require_excluded", lambda params, target: None)
+def test_interval_scan_matches_a_per_degree_scan(p):
+    # the window read at every l, on the form or off it
     params = SingularParams(p, 1)
     top = 60 * (3 * 60 + 1) // 2
     for table in (parity_table(params, top), qs.reduce_mod2(coefficients_theta(params, top))):
@@ -709,11 +680,7 @@ def test_interval_scan_matches_a_per_degree_scan(p, monkeypatch):
             for variant, want_bit in (("even", 0), ("odd", 1)):
                 lo, hi = interval(variant, ell)
                 expected = _scan_by_degree(table, lo, hi, want_bit)
-                if expected is None:
-                    with pytest.raises(DiscrepancyError):
-                        _find_in_interval(variant, params, ell, table)
-                else:
-                    assert _find_in_interval(variant, params, ell, table) == expected
+                assert _find_in_interval(variant, ell, table) == expected
 
 
 # --- cited parity facts at moderate degree -------------------------------------
