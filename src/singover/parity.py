@@ -14,12 +14,12 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   twice: whole, and per n from degree 1 on, where the identity is
   stated. ``convolution_parity_check`` asks it about a single n.
 * ``_residue_witness`` answers "is T = k m^2 +- m(k-2i) for some
-  m >= 1, and for which i <= k/2" with one integer square root, and
-  ``on_form`` asks whether that i is the caller's own. It serves
-  ``exclusion_counterexamples``, which asks it for every l of the form
-  exclusions l(3l +- 1) at i = 1, and ``checks.intervals``, which skips
-  an l whose target is on the form: the interval guarantee covers only
-  the targets off it.
+  m >= 1, and for which i <= k/2" with one integer square root.
+  ``exclusion_counterexamples`` asks it for every l of the form
+  exclusions l(3l +- 1) and counts a hit at i = 1. ``on_form`` asks
+  whether that i is the caller's own; ``checks.intervals`` uses it to
+  skip an l whose target is on the form: the interval guarantee covers
+  only the targets off it.
 * ``interval`` gives each variant's interval, [l, l(3l+1)/2] (even)
   or [2l-1, l(3l-1)/2] (odd). Its ``_sign`` is the one place a variant
   name is checked. With s = +1 (even) or -1 (odd), the upper end
@@ -195,7 +195,7 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     that l(3l-1), l = 2 mod 3, is not p m^2 +- m(p-2) for any m >= 1.
     Both hold for every prime p >= 5, so the expected result is the
     empty list; each l costs one integer square root in
-    ``on_form``, and a hit counts only at residue i = 1. An
+    ``_residue_witness``, and a hit counts only at residue i = 1. An
     ell_max below the variant's first l, which would check no l, is
     refused.
     """
@@ -204,10 +204,11 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     first = FIRST_ELL[variant]
     if ell_max < first:
         raise ParameterError(f"ell_max must be >= {first} for {variant}, got {ell_max}")
+    # a miss (None) stops at the truth test, before any comparison
     return [
         l
         for l in range(first, ell_max + 1, 3)
-        if on_form(p, 1, l * (3 * l + s))
+        if (i := _residue_witness(p, l * (3 * l + s))) and i == 1
     ]
 
 

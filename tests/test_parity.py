@@ -363,7 +363,7 @@ def test_exclusion_targets_match_direct_evaluation():
         direct = direct_residue_witnesses(k, 40 * 121)
         for ell in range(2, 41):
             for t in (ell * (3 * ell + 1), ell * (3 * ell - 1)):
-                assert [_residue_witness(k, t)] == [i for i, _, _ in direct.get(t, [])] or [None]
+                assert [_residue_witness(k, t)] == ([i for i, _, _ in direct.get(t, [])] or [None])
                 hits += t in direct
     assert hits > 0
     for p in (5, 7):
