@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import checks, distribution, tables
 from .checks import CAP_EXACT, CAP_PARITY
@@ -23,8 +24,44 @@ from .parity import FIRST_ELL
 # output helpers
 
 
+def _json_text(value, pad="\n"):
+    """``json.dumps(value, indent=2)`` for a report, built by recursion
+    and ``str.join`` (CPython's ``indent=2`` encoder is the pure-Python
+    one). Only exact ``dict``, ``list``, ``tuple``, ``str``, ``int``,
+    ``bool`` and ``None`` are written; anything else, a float, a non-str
+    key or a subclass of dict or list, raises ``TypeError``."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        # _quote raises TypeError for a key that is not a str
+        items = [
+            _quote(key) + ": " + _json_text(item, inner) for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # an exact int, so never a bool
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+
+
 def _emit_json(report, out) -> None:
-    out.write(json.dumps(report, indent=2) + "\n")
+    out.write(_json_text(report) + "\n")
 
 
 def _emit_csv_rows(header, rows, out) -> None:

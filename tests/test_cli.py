@@ -9,10 +9,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import OrderedDict
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singover import checks, cli, tables
 from singover.errors import ParameterError
@@ -113,6 +116,74 @@ def test_compute_reply_at_the_exact_cap_matches_the_reference_writer(capsys):
     # compared by digest: pytest's failure diff of two 0.1 MB texts takes minutes
     expected = reference_table(3, 1, n_max, "theta", "json")
     assert sha256(out.encode()).hexdigest() == sha256(expected.encode()).hexdigest()
+
+
+# quotes, backslashes, control characters, U+2028, non-ASCII and a lone
+# surrogate, mixed into any code point
+JSON_CHARS = st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029\xe9\u4e2d\U0001f600\ud800'
+)
+JSON_TEXT = st.text(JSON_CHARS | st.characters(), max_size=8)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**64, -(2**64), 2**64 + 1, 10**40, -(10**40)])
+    | JSON_TEXT
+)
+
+
+def json_containers(inner, least=0, most=4):
+    """Lists, tuples and str-keyed dicts of ``least`` to ``most`` ``inner``."""
+    return (
+        st.lists(inner, min_size=least, max_size=most)
+        | st.lists(inner, min_size=least, max_size=most).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, min_size=least, max_size=most)
+    )
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=12)
+# four non-empty containers around any value: always nested at least 4 deep
+DEEP_JSON_VALUES = JSON_VALUES
+for _ in range(4):
+    DEEP_JSON_VALUES = json_containers(DEEP_JSON_VALUES, 1, 2)
+
+
+def emitted(value):
+    out = io.StringIO()
+    cli._emit_json(value, out)
+    return out.getvalue()
+
+
+@given(DEEP_JSON_VALUES)
+@example({"a": [{"b": ({"c": [[], {}, (), ""]},)}], "d": [True, False, None, 0, -1]})
+@example([[[[2**64, -(2**64) - 1, '"\\\x00\u2028\xe9']]]])
+@settings(deadline=None)
+def test_emit_json_writes_what_json_dumps_writes(value):
+    assert emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_emit_json_writes_the_all_suites_report_as_json_dumps():
+    results = checks.all_suites()
+    report = {
+        "command": "verify",
+        "suite": "all",
+        "config": {},
+        "checks": results,
+        "passed": all(c["passed"] for c in results),
+    }
+    assert emitted(report) == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"x": [0.0]}, {1: "a"}, [{"deep": {2: 3}}], OrderedDict(a=1)],
+    ids=["float", "nested-float", "int-key", "nested-int-key", "OrderedDict"],
+)
+def test_emit_json_refuses_what_json_dumps_writes_quietly(value):
+    json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        emitted(value)
 
 
 def test_deterministic_output(capsys):
