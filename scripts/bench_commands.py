@@ -8,9 +8,11 @@ order, so a slow stretch of a shared host spreads over every row
 instead of landing on one. The time kept is a command's best pass.
 The JSON file written to --out holds, per command, the seconds and the
 SHA-256 of its stdout, plus the Python version and the core count. Its
-``import_seconds`` is the median, over --repeat fresh ``python -I``
+``import_seconds`` is the median, over 21 fresh ``python -I``
 interpreters, of the time each takes to ``import singover.cli``: the
-cost a ``singover`` command pays before any work.
+cost a ``singover`` command pays before any work. ``import_seconds_q1``
+and ``import_seconds_q3`` are the quartiles of those 21 times, so that a
+change of a millisecond can be read against their spread.
 Standard library only.
 
     python scripts/bench_commands.py --out BENCH.json
@@ -48,6 +50,8 @@ COMMANDS = [
     ("verify --suite exclusions --p 5 --ell-max {}", 1_000_000),
     ("density --p 5 --x {}", 1_000_000),
 ]
+# fresh interpreters timed for import_seconds, as many as perfbench/run.py times
+IMPORTS = 21
 
 
 def run_once(argv):
@@ -99,13 +103,15 @@ def main():
                      "stdout_sha256": digests.pop()})
         print(f"{seconds:8.3f} s  {command}")
 
-    imports = [import_seconds() for _ in range(args.repeat)]
+    q1, median, q3 = statistics.quantiles([import_seconds() for _ in range(IMPORTS)], n=4)
     report = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "repeat": args.repeat,
         "shrink": args.shrink,
-        "import_seconds": round(statistics.median(imports), 5),
+        "import_seconds": round(median, 5),
+        "import_seconds_q1": round(q1, 5),
+        "import_seconds_q3": round(q3, 5),
         "commands": rows,
     }
     with open(args.out, "w") as fh:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+# json.dumps's C string quoter, taken from _json so that json is not loaded
+from _json import encode_basestring_ascii as _quote
 
 from . import checks, distribution, tables
 from .checks import CAP_EXACT, CAP_PARITY
@@ -82,7 +82,7 @@ def _emit_table(params, source, table, fmt, out) -> None:
     if fmt == "json":
         out.write(
             f'{{\n  "params": {{\n    "k": {params.k},\n    "i": {params.i}\n  }},\n'
-            f'  "N": {table.trunc_degree},\n  "source": {json.dumps(source)},\n'
+            f'  "N": {table.trunc_degree},\n  "source": {_quote(source)},\n'
             '  "values": [\n    "'
         )
         out.write('",\n    "'.join(map(str, coeffs)))
@@ -110,6 +110,9 @@ def _emit_checks(suite, config, results, fmt, out) -> bool:
             out,
         )
     elif fmt == "csv":
+        # imported here, so only a --format csv reply pays for the package
+        import json
+
         _emit_csv_rows(
             ("suite", "check", "passed", "detail"),
             (

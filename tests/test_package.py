@@ -1,16 +1,20 @@
 """The package root: the README's library example runs, the root
 exports exactly the names it lists, and importing the command line
-loads no reflection or csv module."""
+loads no json, csv or reflection module."""
 
+import hashlib
+import json
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import singover
 from singover import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 SRC = str(Path(singover.__file__).resolve().parents[1])
 
 
@@ -45,15 +49,48 @@ def test_root_exports_every_exception_class():
     assert classes <= set(singover.__all__)
 
 
-def test_cli_import_loads_no_reflection_or_csv_modules():
-    # every command pays this import in a fresh interpreter; -S keeps
-    # site hooks, which may preload typing, out of the count
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import singover.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
+def _fresh(code):
+    """Run ``code`` in a ``python -I -S`` interpreter with ``src`` as
+    ``sys.argv[1]``; -S keeps site hooks, which may preload typing, out."""
+    return subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, SRC],
-        capture_output=True, text=True, timeout=60, check=True,
+        capture_output=True, timeout=60, check=True,
+    )
+
+
+def test_cli_import_loads_no_json_csv_or_reflection_module():
+    # every command pays this import in a fresh interpreter
+    watched = {
+        "dataclasses", "inspect", "typing", "csv",
+        "json", "json.decoder", "json.encoder", "json.scanner",
+    }
+    done = _fresh(
+        "import sys; sys.path.insert(0, sys.argv[1]); import singover.cli; "
+        f"print(*sorted({watched!r} & set(sys.modules)))"
     )
     assert done.stdout.split() == []
+
+
+def test_only_a_csv_verify_reply_loads_json():
+    # pytest has imported json already, so only a fresh interpreter shows
+    # which replies load it
+    code = textwrap.dedent("""
+        import io, sys
+        sys.path.insert(0, sys.argv[1])
+        from singover import cli
+        for argv in (
+            ["verify", "--suite", "exclusions", "--p", "7", "--ell-max", "400"],
+            ["density", "--p", "5", "--x", "5000"],
+        ):
+            sys.stdout = io.StringIO()
+            assert cli.main(argv) == 0, argv
+        sys.stdout = sys.__stdout__
+        print(*sorted(m for m in sys.modules if m.startswith("json")), file=sys.stderr)
+        assert cli.main(["verify", "--suite", "exclusions", "--p", "7", "--ell-max", "400",
+                         "--format", "csv"]) == 0
+    """)
+    done = _fresh(code)
+    assert done.stderr.split() == []
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    key = "verify --suite exclusions --p 7 --ell-max 400 --format csv"
+    assert hashlib.sha256(done.stdout).hexdigest() == pinned[key]["stdout"]

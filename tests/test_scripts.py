@@ -51,7 +51,9 @@ def test_bench_commands_writes_its_report(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert report["python"] and report["cores"] >= 1
-    assert isinstance(report["import_seconds"], float) and report["import_seconds"] > 0
+    q1, median, q3 = (report[f"import_seconds{end}"] for end in ("_q1", "", "_q3"))
+    assert all(isinstance(value, float) for value in (q1, median, q3))
+    assert 0 < q1 <= median <= q3
     rows = report["commands"]
     assert len(rows) == 11 and rows[0]["command"] == "compute --k 5 --i 1 --n-max 50"
     assert all(row["seconds"] >= 0 and len(row["stdout_sha256"]) == 64 for row in rows)
