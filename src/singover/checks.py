@@ -6,10 +6,11 @@ first few cases. The command line's ``verify`` renders them and the
 acceptance tests run them at their own scales.
 
 ``SUITES`` is the one registry. For each suite name it holds the
-function, whose parameters are the options the suite reads and the
-fields of a report's ``config`` block, and the size argument with its
-least and greatest value. Below the least value a check would cover no
-case; above the greatest a table would pass its degree cap.
+function; the options the suite reads, which are the fields of a
+report's ``config`` block, and those of them it can do without; and
+the size argument with its least and greatest value. Below the least
+value a check would cover no case; above the greatest a table would
+pass its degree cap.
 """
 
 from __future__ import annotations
@@ -207,18 +208,21 @@ def all_suites() -> list[dict]:
     return results
 
 
-# run: the suite function; size: (argument, least, greatest), or None
-Suite = namedtuple("Suite", "run size")
+# run: the suite function; options: the arguments it is called with, in
+# config order; size: (argument, least, greatest), or None; optional:
+# the options whose argument has a default
+Suite = namedtuple("Suite", "run options size optional", defaults=((),))
 
+# the even checks start at their first l, 4
+_FIRST_ELL = parity.FIRST_ELL["even"]
 
 SUITES = {
-    "oracle": Suite(oracle, ("n_max", 1, MAX_CAP)),
-    "pipelines": Suite(pipelines, ("n_max", 0, CAP_EXACT)),
-    "special-forms": Suite(special_forms, ("n_max", 0, CAP_EXACT)),
-    "parity-facts": Suite(parity_facts, ("n_max", 1, CAP_PARITY)),
-    "lemma1": Suite(lemma1, ("n_max", 1, CAP_EXACT)),
-    # the even checks start at their first l, 4
-    "exclusions": Suite(exclusions, ("ell_max", parity.FIRST_ELL["even"], CAP_EXCLUSIONS)),
-    "intervals": Suite(intervals, ("ell_max", parity.FIRST_ELL["even"], CAP_INTERVALS)),
-    "all": Suite(all_suites, None),
+    "oracle": Suite(oracle, ("k", "i", "n_max"), ("n_max", 1, MAX_CAP)),
+    "pipelines": Suite(pipelines, ("k", "i", "n_max"), ("n_max", 0, CAP_EXACT)),
+    "special-forms": Suite(special_forms, ("k", "n_max"), ("n_max", 0, CAP_EXACT), ("k",)),
+    "parity-facts": Suite(parity_facts, ("n_max",), ("n_max", 1, CAP_PARITY)),
+    "lemma1": Suite(lemma1, ("k", "i", "n_max"), ("n_max", 1, CAP_EXACT)),
+    "exclusions": Suite(exclusions, ("p", "ell_max"), ("ell_max", _FIRST_ELL, CAP_EXCLUSIONS)),
+    "intervals": Suite(intervals, ("p", "ell_max"), ("ell_max", _FIRST_ELL, CAP_INTERVALS)),
+    "all": Suite(all_suites, (), None),
 }

@@ -116,7 +116,7 @@ def _emit_checks(suite, config, results, fmt, out) -> bool:
         _emit_csv_rows(
             ("suite", "check", "passed", "detail"),
             (
-                (suite, c["name"], c["passed"], json.dumps(c.get("detail", "")))
+                (suite, c["name"], c["passed"], json.dumps(c["detail"]))
                 for c in results
             ),
             out,
@@ -124,8 +124,7 @@ def _emit_checks(suite, config, results, fmt, out) -> bool:
     else:
         for c in results:
             flag = "PASS" if c["passed"] else "FAIL"
-            detail = c.get("detail", "")
-            out.write(f"{flag} {suite}/{c['name']} {detail}\n")
+            out.write(f"{flag} {suite}/{c['name']} {c['detail']}\n")
         out.write(f"{'PASS' if passed else 'FAIL'} {suite}\n")
     return passed
 
@@ -149,21 +148,12 @@ def cmd_compute(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     suite = checks.SUITES[args.suite]
-    # The suite function's parameters are the options it reads; one
-    # without a default must be given. They are read from its code
-    # object: the positional ones, then the keyword-only ones, and the
-    # defaults of the positional ones belong to the last of them.
-    code = suite.run.__code__
-    positional = code.co_argcount
-    names = code.co_varnames[: positional + code.co_kwonlyargcount]
-    defaulted = {*names[positional - len(suite.run.__defaults__ or ()) : positional]}
-    defaulted.update(suite.run.__kwdefaults__ or ())
     config = {}
-    for name in names:
+    for name in suite.options:
         value = getattr(args, name)
         if value is not None:
             config[name] = value
-        elif name not in defaulted:
+        elif name not in suite.optional:
             raise ParameterError(f"--{name} is required for suite {args.suite!r}")
     if suite.size is not None:
         name, least, greatest = suite.size

@@ -1,7 +1,7 @@
 """Command-line contract: schemas, formats, determinism, exit codes."""
 
-import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -273,30 +273,35 @@ def test_zero_case_checks_exit_2(capsys, args):
     [
         (["--suite", "oracle", "--n-max", "30"], "k"),
         (["--suite", "oracle", "--k", "5", "--n-max", "30"], "i"),
+        (["--suite", "pipelines", "--i", "1", "--n-max", "30"], "k"),
+        (["--suite", "pipelines", "--k", "5", "--n-max", "30"], "i"),
+        (["--suite", "lemma1", "--i", "1", "--n-max", "30"], "k"),
+        (["--suite", "lemma1", "--k", "5", "--n-max", "30"], "i"),
     ],
-    ids=["oracle-no-k", "oracle-no-i"],
+    ids=[
+        "oracle-no-k",
+        "oracle-no-i",
+        "pipelines-no-k",
+        "pipelines-no-i",
+        "lemma1-no-k",
+        "lemma1-no-i",
+    ],
 )
 def test_verify_without_a_required_option_exits_2(capsys, args, option):
     code, out, err = run_cli(["verify"] + args, capsys)
     assert code == 2 and out == ""
-    assert err == f"parameter error: --{option} is required for suite 'oracle'\n"
+    assert err == f"parameter error: --{option} is required for suite {args[1]!r}\n"
 
 
-def test_verify_reads_every_kind_of_suite_parameter(monkeypatch):
-    # positional and keyword-only parameters, each with and without a
-    # default: the config holds the given ones, in signature order
-    def suite(k, i=2, *, n_max, p=5):
-        return [{"name": "seen", "passed": True}]
-
-    monkeypatch.setitem(checks.SUITES, "seen", checks.Suite(suite, None))
-    given = {"k": 3, "i": None, "n_max": 7, "p": None, "ell_max": None}
-    out = io.StringIO()
-    assert cli.cmd_verify(argparse.Namespace(suite="seen", fmt="json", **given), out) == 0
-    assert list(json.loads(out.getvalue())["config"].items()) == [("k", 3), ("n_max", 7)]
-    for name in ("k", "n_max"):
-        args = argparse.Namespace(suite="seen", fmt="json", **{**given, name: None})
-        with pytest.raises(ParameterError, match=f"^--{name} is required for suite 'seen'$"):
-            cli.cmd_verify(args, io.StringIO())
+def test_every_suite_declares_the_parameters_of_its_function():
+    # the registry names each function's parameters in order, marks
+    # those with a default optional, and sizes one of them
+    for name, suite in checks.SUITES.items():
+        parameters = inspect.signature(suite.run).parameters.values()
+        assert suite.options == tuple(p.name for p in parameters), name
+        defaulted = {p.name for p in parameters if p.default is not p.empty}
+        assert set(suite.optional) == defaulted, name
+        assert suite.size is None or suite.size[0] in suite.options, name
 
 
 def test_sizes_outside_the_registry_bounds_exit_2(capsys):
@@ -520,6 +525,8 @@ def test_an_option_a_suite_does_not_read_is_not_checked(capsys):
         (["--suite", "parity-facts", "--n-max", "50"], {"n_max": 50}),
         (["--suite", "exclusions", "--p", "7", "--ell-max", "40"], {"p": 7, "ell_max": 40}),
         (["--suite", "all"], {}),
+        (["--suite", "special-forms", "--n-max", "20"], {"n_max": 20}),
+        (["--suite", "special-forms", "--k", "2", "--n-max", "20"], {"k": 2, "n_max": 20}),
     ],
 )
 def test_verify_config_lists_the_fields_the_suite_reads(argv, config, capsys):
