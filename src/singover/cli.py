@@ -60,10 +60,6 @@ def _json_text(value, pad="\n"):
     raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
 
 
-def _emit_json(report, out) -> None:
-    out.write(_json_text(report) + "\n")
-
-
 def _emit_csv_rows(header, rows, out) -> None:
     # imported here, so only a --format csv reply pays for the module
     import csv
@@ -99,16 +95,14 @@ def _emit_table(params, source, table, fmt, out) -> None:
 def _emit_checks(suite, config, results, fmt, out) -> bool:
     passed = all(c["passed"] for c in results)
     if fmt == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "suite": suite,
-                "config": config,
-                "checks": results,
-                "passed": passed,
-            },
-            out,
-        )
+        report = {
+            "command": "verify",
+            "suite": suite,
+            "config": config,
+            "checks": results,
+            "passed": passed,
+        }
+        out.write(_json_text(report) + "\n")
     elif fmt == "csv":
         # imported here, so only a --format csv reply pays for the package
         import json
@@ -176,7 +170,7 @@ def cmd_density(args, out) -> int:
         raise ParameterError(f"--x must be in [{least}, {CAP_PARITY}]")
     report = distribution.parity_census(args.p, args.x)
     if args.fmt == "json":
-        _emit_json({"command": "density", **report}, out)
+        out.write(_json_text({"command": "density", **report}) + "\n")
     elif args.fmt == "csv":
         _emit_csv_rows(report.keys(), [report.values()], out)
     else:

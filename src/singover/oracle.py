@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .errors import ParameterError
+from .errors import ParameterError, require_degree
 from .params import SingularParams
 
 # Largest cap the command line accepts. The DP table costs about n^2
@@ -76,6 +76,7 @@ def dp_table(params: SingularParams, n: int) -> list[int]:
     distinct parts, and multiplies by (1 + q^v). Both steps are slice
     updates, the first one block of v degrees at a time.
     """
+    require_degree(n)
     table = [1] + [0] * n
     for v in range(1, n + 1):
         if v % params.k == 0:

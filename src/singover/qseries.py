@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 
-from .errors import ParameterError
+from .errors import ParameterError, require_degree
 from .params import SingularParams
 
 
@@ -35,6 +35,7 @@ class TruncSeriesZ:
 
     @classmethod
     def constant(cls, value: int, trunc_degree: int) -> "TruncSeriesZ":
+        require_degree(trunc_degree)
         return cls((value,) + (0,) * trunc_degree)
 
     @property
@@ -45,6 +46,7 @@ class TruncSeriesZ:
         return isinstance(other, TruncSeriesZ) and self.coeffs == other.coeffs
 
     def truncate(self, trunc_degree: int) -> "TruncSeriesZ":
+        require_degree(trunc_degree)
         if trunc_degree > self.trunc_degree:
             raise ParameterError(
                 f"cannot extend truncation degree {self.trunc_degree} to {trunc_degree}"
@@ -67,8 +69,7 @@ class TruncSeriesF2:
     __slots__ = ("bits", "trunc_degree")
 
     def __init__(self, bits: int, trunc_degree: int):
-        if trunc_degree < 0:
-            raise ParameterError("truncation degree must be nonnegative")
+        require_degree(trunc_degree)
         if bits < 0 or bits >> (trunc_degree + 1):
             raise ParameterError("bit sequence extends past the truncation degree")
         self.bits = bits
@@ -130,13 +131,18 @@ def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     return TruncSeriesZ(res)
 
 
-def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
+def div(s: TruncSeriesZ, t: TruncSeriesZ, head=()) -> TruncSeriesZ:
     """Quotient r with r * t == s through the truncation degree.
 
     Forward substitution: r[n] = (s[n] - sum_{j>=1} t[j] r[n-j]) / t[0],
     restricted to the nonzero divisor terms, so a divisor with T terms
     costs O(N * T) additions. The constant term of t must be +-1;
     quotients then stay integral with no divisibility checks needed.
+
+    head, the quotient's own coefficients through some degree up to N
+    (a table held from a smaller request), is kept and the substitution
+    resumes after it; the quotient is prefix-stable, so the result is
+    that of a fresh division.
 
     The substitution runs in blocks of ``_BLOCK`` degrees (see
     ``_div_extend``): a +-1 term far enough back reads only finished
@@ -145,7 +151,7 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     interpreted step per degree.
     """
     _require_same_degree(s, t)
-    r = []
+    r = list(head)
     _div_extend(r, s.coeffs, t.coeffs)
     return TruncSeriesZ(r)
 
@@ -251,8 +257,7 @@ def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
     """
     if m < 1:
         raise ParameterError(f"eta product step must be >= 1, got {m}")
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
+    require_degree(trunc_degree)
     coeffs = [0] * (trunc_degree + 1)
     coeffs[0] = 1
     for e, j, _ in form_exponents(3 * m, m, trunc_degree):
@@ -298,8 +303,7 @@ def pochhammer_neg(a: int, b: int, trunc_degree: int) -> TruncSeriesZ:
     """
     if a < 1 or b < 1:
         raise ParameterError(f"offsets must be >= 1, got a={a}, b={b}")
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
+    require_degree(trunc_degree)
     res = [1] + [0] * trunc_degree
     _mul_pochhammer_neg(res, a, b)
     return TruncSeriesZ(res)
@@ -316,8 +320,7 @@ def theta_sum(k: int, i: int, trunc_degree: int) -> TruncSeriesZ:
     exponent is hit twice.
     """
     SingularParams(k, i)  # validates (k, i)
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
+    require_degree(trunc_degree)
     coeffs = [0] * (trunc_degree + 1)
     coeffs[0] = 1
     for e, _, _ in form_exponents(k, i, trunc_degree):
@@ -335,8 +338,7 @@ def form_bits(k: int, i: int, trunc_degree: int) -> TruncSeriesF2:
     generalized pentagonals, so form_bits(3, 1, N) is (q;q) mod 2.
     """
     SingularParams(k, i)  # validates (k, i)
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
+    require_degree(trunc_degree)
     buf = bytearray(trunc_degree // 8 + 1)
     buf[0] = 1
     for e, _, _ in form_exponents(k, i, trunc_degree):
@@ -463,8 +465,7 @@ def partition_bits(trunc_degree: int) -> TruncSeriesF2:
     so (q;q)^3 is T = sum_{n>=0} q^(n(n+1)/2) mod 2, and ``_lift``
     with d = 4 takes 1/(q;q) = T(q) * P(q^4) from the few bits of T.
     """
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
+    require_degree(trunc_degree)
     # the partial sums of 0, 1, 2, ... are n(n+1)/2, which is <= N
     # exactly for n < (isqrt(8N+1) + 1) // 2
     triangular = accumulate(range((isqrt(8 * trunc_degree + 1) + 1) // 2))

@@ -32,11 +32,13 @@ come between.
 The theta route keeps, per (k, i), the largest table built so far, so
 a session's exact requests share one expansion. A smaller request is a
 slice of it; a larger one resumes the forward substitution from the
-held degree. The store holds at most STORE_BUDGET pairs and is guarded
-by one lock, so tables can be requested from several threads. Product
-and parity tables are built afresh on every call, since requests
-seldom ask for one twice; the product route also stays apart from the
-theta store, because their agreement is the cross-check.
+held degree, and an absent table starts it from degree 0, so one
+``qseries.div`` call serves both. The store holds at most STORE_BUDGET
+pairs and is guarded by one lock, so tables can be requested from
+several threads. Product and parity tables are built afresh on every
+call, since requests seldom ask for one twice; the product route also
+stays apart from the theta store, because their agreement is the
+cross-check.
 
 Edge case: for even k with i = k/2 the residues +i and -i coincide and
 the product formula lists the same overline factor twice. Every route
@@ -78,31 +80,23 @@ def coefficients_product(params: SingularParams, trunc_degree: int) -> qs.TruncS
     return qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree))
 
 
-def _grow_theta(params, trunc_degree, held) -> qs.TruncSeriesZ:
-    num = qs.theta_sum(params.k, params.i, trunc_degree)
-    den = qs.eta_product(1, trunc_degree)
-    if held is None:
-        return qs.div(num, den)
-    # The quotient is prefix-stable, so a held table is resumed, not redone.
-    coeffs = list(held.coeffs)
-    qs._div_extend(coeffs, num.coeffs, den.coeffs)
-    return qs.TruncSeriesZ(coeffs)
-
-
 def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
     """Table from the theta-numerator quotient (the fast exact route).
 
     A request at or below the held degree is the held table truncated; a
-    larger one extends the held table, or builds afresh, and holds it.
+    larger one resumes the division from the held table, or from degree
+    0 when none is held, and holds the result.
     """
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
     with _THETA_LOCK:
         held = _THETA.get(params)
         if held is not None and trunc_degree <= held.trunc_degree:
             table = held.truncate(trunc_degree)
         else:
-            table = _THETA[params] = _grow_theta(params, trunc_degree, held)
+            table = _THETA[params] = qs.div(
+                qs.theta_sum(params.k, params.i, trunc_degree),
+                qs.eta_product(1, trunc_degree),
+                held.coeffs if held is not None else (),
+            )
         _THETA.move_to_end(params)
         if len(_THETA) > STORE_BUDGET:
             _THETA.popitem(last=False)
@@ -138,9 +132,8 @@ def special_form(family: str, k: int, trunc_degree: int) -> qs.TruncSeriesZ:
         )
     if k < 1:
         raise ParameterError(f"scale k must be >= 1, got {k}")
-    if trunc_degree < 0:
-        raise ParameterError("truncation degree must be nonnegative")
     _, nums, dens = _SPECIAL_FAMILIES[family]
+    # the first step refuses a negative degree
     acc = qs.TruncSeriesZ.constant(1, trunc_degree)
     for m in nums:
         acc = qs.mul(acc, qs.eta_product(m * k, trunc_degree))

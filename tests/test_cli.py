@@ -150,9 +150,7 @@ for _ in range(4):
 
 
 def emitted(value):
-    out = io.StringIO()
-    cli._emit_json(value, out)
-    return out.getvalue()
+    return cli._json_text(value) + "\n"
 
 
 @given(DEEP_JSON_VALUES)
@@ -302,6 +300,30 @@ def test_every_suite_declares_the_parameters_of_its_function():
         defaulted = {p.name for p in parameters if p.default is not p.empty}
         assert set(suite.optional) == defaulted, name
         assert suite.size is None or suite.size[0] in suite.options, name
+
+
+def _readme_number(text):
+    # "816", or a power of ten written with a superscript, "10⁶"
+    if text.startswith("10") and len(text) > 2:
+        return 10 ** int(text[2:].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+    return int(text)
+
+
+def test_readme_size_table_matches_the_registry():
+    # each row of the README's suite / size / least / greatest table is
+    # the size bound of every suite it names, and every sized suite has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| suite | size | least | greatest |\n|---|---|---|---|\n"
+    assert header in readme
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    listed = {}
+    for row in rows:
+        names, flag, least, greatest = [cell.strip() for cell in row.strip("|").split("|")]
+        option = flag.strip("`").removeprefix("--").replace("-", "_")
+        size = (option, _readme_number(least), _readme_number(greatest))
+        for name in names.split(", "):
+            listed[name.strip("`")] = size
+    assert listed == {name: s.size for name, s in checks.SUITES.items() if s.size}
 
 
 def test_sizes_outside_the_registry_bounds_exit_2(capsys):

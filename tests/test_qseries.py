@@ -256,6 +256,15 @@ def test_div_truncation_consistency(pair, cut):
     assert div(s, t).truncate(cut) == div(s.truncate(cut), t.truncate(cut))
 
 
+@given(unit_divisor_pair(), st.integers(0, 24))
+@settings(deadline=None)
+def test_div_resumed_from_a_lower_quotient_equals_a_fresh_division(pair, cut):
+    s, t = pair
+    cut = min(cut, s.trunc_degree)
+    head = div(s.truncate(cut), t.truncate(cut)).coeffs
+    assert div(s, t, head) == div(s, t)
+
+
 # --- eta products ------------------------------------------------------------
 
 

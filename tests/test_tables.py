@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from singover import tables
 from singover.cli import CAP_EXACT
 from singover.errors import ParameterError
-from singover.oracle import enumerate_overpartitions
+from singover.oracle import dp_table, enumerate_overpartitions
 from singover.params import SingularParams
 from singover.qseries import (
     TruncSeriesF2,
     TruncSeriesZ,
     div,
     eta_product,
+    form_bits,
     mul,
+    partition_bits,
     pochhammer_neg,
     reduce_mod2,
     theta_sum,
@@ -231,6 +233,42 @@ def test_store_truncates_and_extends_at_half_k(route):
 def test_every_route_refuses_a_negative_degree(route):
     with pytest.raises(ParameterError):
         ROUTES[route](SingularParams(5, 1), -1)
+
+
+def _theta(n, held=None):
+    # a request with no table in the store, or with one held at degree held
+    clear_caches()
+    if held is not None:
+        coefficients_theta(SingularParams(5, 1), held)
+    return coefficients_theta(SingularParams(5, 1), n)
+
+
+# every entry point that takes a truncation degree, the three that once
+# answered a negative one with a table of the wrong degree among them
+DEGREE_BUILDERS = {
+    "TruncSeriesZ.truncate": lambda n: TruncSeriesZ(range(1, 8)).truncate(n),
+    "TruncSeriesZ.constant": lambda n: TruncSeriesZ.constant(1, n),
+    "TruncSeriesF2": lambda n: TruncSeriesF2(0, n),
+    "eta_product": lambda n: eta_product(1, n),
+    "pochhammer_neg": lambda n: pochhammer_neg(1, 2, n),
+    "theta_sum": lambda n: theta_sum(5, 1, n),
+    "form_bits": lambda n: form_bits(5, 1, n),
+    "partition_bits": partition_bits,
+    "coefficients_theta": _theta,
+    "coefficients_theta/held": lambda n: _theta(n, held=40),
+    "coefficients_product": lambda n: coefficients_product(SingularParams(5, 1), n),
+    "parity_table": lambda n: parity_table(SingularParams(5, 1), n),
+    "special_form": lambda n: special_form("3k", 1, n),
+    "dp_table": lambda n: dp_table(SingularParams(5, 1), n),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+@pytest.mark.parametrize("builder", sorted(DEGREE_BUILDERS))
+def test_every_degree_builder_refuses_a_negative_degree(builder, n):
+    with pytest.raises(ParameterError) as caught:
+        DEGREE_BUILDERS[builder](n)
+    assert str(caught.value) == "truncation degree must be nonnegative"
 
 
 def test_store_evicts_least_recently_used():
