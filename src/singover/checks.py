@@ -20,6 +20,7 @@ from collections import namedtuple
 
 from . import parity, tables
 from . import qseries as qs
+from .errors import ParameterError
 from .oracle import MAX_CAP, dp_table
 from .params import SingularParams
 
@@ -35,6 +36,12 @@ CAP_INTERVALS = (math.isqrt(24 * CAP_PARITY + 1) - 1) // 6
 def _record(name: str, bad: list, key="mismatches", count_key="mismatch_count") -> dict:
     """A check that passes when bad is empty; detail lists its first ten and the total."""
     return {"name": name, "passed": not bad, "detail": {key: bad[:10], count_key: len(bad)}}
+
+
+def _require_some_degree(n_max: int) -> None:
+    """Refuse an n_max below 1, for which a check would cover no degree."""
+    if n_max < 1:
+        raise ParameterError(f"n_max must be >= 1, got {n_max}")
 
 
 def _differing(a, b) -> list[int]:
@@ -80,8 +87,10 @@ def parity_facts(n_max: int) -> list[dict]:
     is ``qseries.inv_f2`` of Euler's pentagonal bits, while every parity
     table takes 1/(q;q) from Jacobi's cube identity. Both run the same
     ``qseries._lift``, so the check's independence lies in the two
-    identities, not in the kernel.
+    identities, not in the kernel. An n_max below 1, which would leave
+    the first three facts no degree, is refused.
     """
+    _require_some_degree(n_max)
     t31 = tables.parity_table(SingularParams(3, 1), n_max)
     t41 = tables.parity_table(SingularParams(4, 1), n_max)
     t62 = tables.parity_table(SingularParams(6, 2), n_max)
@@ -102,7 +111,10 @@ def parity_facts(n_max: int) -> list[dict]:
 
 
 def lemma1(k: int, i: int, n_max: int) -> list[dict]:
+    """Lemma 1's convolution for C-bar_{k,i}: wholesale on degrees
+    0..n_max and degree by degree on 1..n_max, so n_max >= 1."""
     params = SingularParams(k, i)
+    _require_some_degree(n_max)
     table = tables.coefficients_theta(params, n_max)
     wholesale = parity.convolution_mismatches(params, table)
     bad = [n for n in wholesale if n]

@@ -9,7 +9,7 @@ exact infinite-series result through degree N.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
@@ -142,16 +142,19 @@ def div(s: TruncSeriesZ, t: TruncSeriesZ, head=()) -> TruncSeriesZ:
     head, the quotient's own coefficients through some degree up to N
     (a table held from a smaller request), is kept and the substitution
     resumes after it; the quotient is prefix-stable, so the result is
-    that of a fresh division.
+    that of a fresh division. A head past degree N is refused.
 
-    The substitution runs in blocks of ``_BLOCK`` degrees (see
-    ``_div_extend``): a +-1 term far enough back reads only finished
-    coefficients, so it enters a whole block as one slice added in C,
-    and only the few near terms and the other coefficients take an
-    interpreted step per degree.
+    The substitution runs in blocks of ``_BLOCK`` degrees over a
+    quotient padded with ``_BLOCK`` leading zeros (see ``_div_extend``).
+    A +-1 term at least the block's width back reads only finished
+    coefficients or the zeros, so it enters a whole block as one slice
+    added in C; only the +-1 terms below the width and the other
+    coefficients take an interpreted step per degree.
     """
     _require_same_degree(s, t)
     r = list(head)
+    if len(r) > len(s.coeffs):
+        raise ParameterError(f"head longer than the quotient: {len(r)} > {len(s.coeffs)} terms")
     _div_extend(r, s.coeffs, t.coeffs)
     return TruncSeriesZ(r)
 
@@ -170,14 +173,18 @@ def _div_extend(r: list, sc, tc) -> None:
     the substitution resumes where r ends; r = [] gives the whole
     quotient. sc and tc are coefficient sequences of equal length.
 
-    The new degrees go in blocks [lo, hi) of ``_BLOCK``, the first at
-    len(r). A +-1 divisor term j with hi - lo <= j <= lo is far: it
-    reads only r[lo - j : hi - j], all below lo and already final, so
-    the far -1 terms are summed into the block in one
+    While it runs, r carries ``_BLOCK`` leading zeros: degree n sits at
+    r[n + _BLOCK], and a divisor term past the degree reads a zero
+    instead of needing a guard. The new degrees go in blocks of
+    ``_BLOCK``, the first at the old len(r); a block of width w spans
+    the degrees d .. d + w - 1. A +-1 divisor term j < w is near and
+    takes the per-degree loop. One with w <= j <= d + w - 1 is far: it
+    reads only degrees d - j .. d + w - 1 - j, all below d, final or in
+    the zeros, so the far -1 terms are summed into the block in one
     ``map(sum, zip(*slices))`` pass and the far +1 terms in another.
-    The near terms, j < hi - lo and lo < j < hi, and every coefficient
-    other than +-1 take the per-degree loop. For (q;q) at N = 10^4 that
-    leaves about 12 interpreted steps per degree instead of about 160.
+    Every coefficient other than +-1 takes the per-degree loop too, up
+    to the degree. For (q;q) at N = 10^4 that leaves about 12
+    interpreted steps per degree instead of about 160.
     """
     t0 = tc[0]
     if t0 not in (1, -1):
@@ -187,42 +194,33 @@ def _div_extend(r: list, sc, tc) -> None:
     minus = [j for j, c in nz if c == -1]
     plus = [j for j, c in nz if c == 1]
     other = [(j, c) for j, c in nz if c not in (1, -1)]
+    r[:0] = [0] * _BLOCK
     r += [0] * (top - start)
-    for lo in range(start, top, _BLOCK):
-        hi = min(lo + _BLOCK, top)
-        base = list(sc[lo:hi])
-        far_minus, near_minus = _far_near(minus, lo, hi)
-        far_plus, near_plus = _far_near(plus, lo, hi)
+    # lo and hi index the padded r: the block's degrees are d = lo - _BLOCK
+    # up to hi - 1 - _BLOCK, and hi - lo is its width w
+    for lo in range(start + _BLOCK, top + _BLOCK, _BLOCK):
+        hi = min(lo + _BLOCK, top + _BLOCK)
+        base = list(sc[lo - _BLOCK : hi - _BLOCK])
+        m, p = bisect_left(minus, hi - lo), bisect_left(plus, hi - lo)
+        far_minus = minus[m : bisect_left(minus, hi - _BLOCK, m)]
+        far_plus = plus[p : bisect_left(plus, hi - _BLOCK, p)]
         if far_minus:
             base = list(map(add, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_minus]))))
         if far_plus:
             base = list(map(sub, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_plus]))))
+        near_minus, near_plus = minus[:m], plus[:p]
         for e in range(lo, hi):
             acc = base[e - lo]
             for j in near_minus:
-                if j > e:
-                    break
                 acc += r[e - j]
             for j in near_plus:
-                if j > e:
-                    break
                 acc -= r[e - j]
             for j, c in other:
-                if j > e:
+                if j > e - _BLOCK:
                     break
                 acc -= c * r[e - j]
             r[e] = acc if t0 == 1 else -acc
-
-
-def _far_near(terms: list, lo: int, hi: int) -> tuple[list, list]:
-    """Split the sorted exponents terms for the block [lo, hi) of ``_div_extend``.
-
-    Far: hi - lo <= j <= lo. Near, still in ascending order: j < hi - lo
-    and lo < j < hi. Terms at or past hi do not reach the block.
-    """
-    a = bisect_left(terms, hi - lo)
-    b = max(a, bisect_right(terms, lo))
-    return terms[a:b], terms[:a] + terms[b : bisect_left(terms, hi, b)]
+    del r[:_BLOCK]
 
 
 def form_exponents(k: int, i: int, bound: int):

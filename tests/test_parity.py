@@ -697,6 +697,17 @@ def test_known_parity_facts_small():
     assert all(bit(t62, e) == (1 if e in pents else 0) for e in range(1, n + 1))
 
 
+def test_lemma1_and_parity_facts_refuse_an_empty_range():
+    # at n_max = 0 the per-n and first three parity checks would cover no degree
+    for n_max in (0, -1):
+        message = f"^n_max must be >= 1, got {n_max}$"
+        with pytest.raises(ParameterError, match=message):
+            checks.lemma1(5, 1, n_max)
+        with pytest.raises(ParameterError, match=message):
+            checks.parity_facts(n_max)
+    assert all(check["passed"] for check in checks.lemma1(5, 1, 1) + checks.parity_facts(1))
+
+
 def test_parity_facts_report_planted_failures(monkeypatch):
     # plant odd values into true tables and check the reported lists:
     # ascending, the first 10, and the exact total

@@ -181,6 +181,14 @@ def test_div_nonunit_rejected():
         div(TruncSeriesZ([1, 1]), TruncSeriesZ([2, 1]))
 
 
+def test_div_refuses_a_head_past_the_truncation_degree():
+    s, t = theta_sum(5, 1, 5), eta_product(1, 5)
+    head = div(theta_sum(5, 1, 9), eta_product(1, 9)).coeffs
+    with pytest.raises(ParameterError, match=r"^head longer than the quotient: 10 > 6 terms$"):
+        div(s, t, head)
+    assert div(s, t, head[:6]) == div(s, t)
+
+
 def div_extend_by_degree(r, sc, tc):
     """Reference: the per-degree forward substitution, every term each degree."""
     nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
@@ -205,12 +213,18 @@ def test_div_mixed_divisor_against_naive_loop():
 
 
 def block_divisors(n):
-    """(q;q), eta products whose first term is at or past the block width,
-    their negations (t0 = -1), and a divisor mixing +-1 with others."""
-    etas = [eta_product(m, n).coeffs for m in (1, 2, 7, 64, 65, 200)]
+    """(q;q), eta products whose first term is just below, at or past the
+    block width, their negations (t0 = -1), a divisor mixing +-1 with
+    others, and one whose terms sit on the block edges: +-1 at 63, 64,
+    65, 127 and 128, and 3 at 70."""
+    etas = [eta_product(m, n).coeffs for m in (1, 2, 7, 63, 64, 65, 200)]
     rng = random.Random(n)
     mixed = (1,) + tuple(rng.choice((1, -1, 1, -1, 2, -3, 0, 0)) for _ in range(n))
-    return etas + [tuple(-c for c in t) for t in etas] + [mixed]
+    edges = [1] + [0] * n
+    for j, c in ((63, -1), (64, 1), (65, -1), (70, 3), (127, 1), (128, -1)):
+        if j <= n:
+            edges[j] = c
+    return etas + [tuple(-c for c in t) for t in etas] + [mixed, tuple(edges)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 323, 1000])
