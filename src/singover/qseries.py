@@ -5,6 +5,11 @@ integers, parity series are bit sequences packed into a single int.
 A series truncated at degree N stores the N+1 coefficients of q^0..q^N;
 products and quotients of truncations agree with the truncation of the
 exact infinite-series result through degree N.
+
+Every quotient a table needs is by an eta product (q^m;q^m)_inf, so
+``div`` takes the divisor as its step m: (q;q) is step 1, and the
+special eta-quotients of ``tables.special_form`` divide by steps
+k*{1, 6}, k and k*{1, 4, 6} after it.
 """
 
 from __future__ import annotations
@@ -105,6 +110,11 @@ def _require_same_degree(s, t):
         raise ParameterError(f"truncation degrees differ: {s.trunc_degree} vs {t.trunc_degree}")
 
 
+def _require_step(m: int) -> None:
+    if m < 1:
+        raise ParameterError(f"eta product step must be >= 1, got {m}")
+
+
 def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     """Product of two series with equal truncation degrees.
 
@@ -131,96 +141,70 @@ def mul(s: TruncSeriesZ, t: TruncSeriesZ) -> TruncSeriesZ:
     return TruncSeriesZ(res)
 
 
-def div(s: TruncSeriesZ, t: TruncSeriesZ, head=()) -> TruncSeriesZ:
-    """Quotient r with r * t == s through the truncation degree.
+def div(s: TruncSeriesZ, m: int, head=()) -> TruncSeriesZ:
+    """Quotient s / (q^m; q^m)_inf through the truncation degree; m is the
+    step of the eta product divided by.
 
-    Forward substitution: r[n] = (s[n] - sum_{j>=1} t[j] r[n-j]) / t[0],
-    restricted to the nonzero divisor terms, so a divisor with T terms
-    costs O(N * T) additions. The constant term of t must be +-1;
-    quotients then stay integral with no divisibility checks needed.
+    Forward substitution over the divisor's pentagonal terms, taken
+    straight from ``form_exponents(3m, m, N)``: the term q^e of index j
+    is -1 for odd j, so r[n] gains r[n - e], and +1 for even j, so r[n]
+    loses it. About 2 sqrt(2N/(3m)) terms, so O(N sqrt(N/m)) additions
+    and no divisibility checks, since the constant term is 1.
 
     head, the quotient's own coefficients through some degree up to N
     (a table held from a smaller request), is kept and the substitution
-    resumes after it; the quotient is prefix-stable, so the result is
-    that of a fresh division. A head past degree N is refused.
-
-    The substitution runs in blocks of ``_BLOCK`` degrees over a
-    quotient padded with ``_BLOCK`` leading zeros (see ``_div_extend``).
-    A +-1 term at least the block's width back reads only finished
-    coefficients or the zeros, so it enters a whole block as one slice
-    added in C; only the +-1 terms below the width and the other
-    coefficients take an interpreted step per degree.
-    """
-    _require_same_degree(s, t)
-    r = list(head)
-    if len(r) > len(s.coeffs):
-        raise ParameterError(f"head longer than the quotient: {len(r)} > {len(s.coeffs)} terms")
-    _div_extend(r, s.coeffs, t.coeffs)
-    return TruncSeriesZ(r)
-
-
-# Width of the output blocks of ``_div_extend``. At N = 10^4 widths from
-# 32 to 128 measured alike within noise, and the per-degree loop took
-# 1.4-2x as long (Python 3.11, 2 cores).
-_BLOCK = 64
-
-
-def _div_extend(r: list, sc, tc) -> None:
-    """Extend the quotient prefix r of sc / tc in place to len(sc) terms.
-
-    r[n] depends only on sc[0..n] and tc[0..n], so a quotient computed
-    at a lower truncation degree is the prefix of every higher one and
-    the substitution resumes where r ends; r = [] gives the whole
-    quotient. sc and tc are coefficient sequences of equal length.
+    resumes after it: r[n] depends only on s[0..n], so the quotient is
+    prefix-stable and the result is that of a fresh division. A head
+    past degree N is refused.
 
     While it runs, r carries ``_BLOCK`` leading zeros: degree n sits at
-    r[n + _BLOCK], and a divisor term past the degree reads a zero
-    instead of needing a guard. The new degrees go in blocks of
-    ``_BLOCK``, the first at the old len(r); a block of width w spans
-    the degrees d .. d + w - 1. A +-1 divisor term j < w is near and
-    takes the per-degree loop. One with w <= j <= d + w - 1 is far: it
-    reads only degrees d - j .. d + w - 1 - j, all below d, final or in
-    the zeros, so the far -1 terms are summed into the block in one
-    ``map(sum, zip(*slices))`` pass and the far +1 terms in another.
-    Every coefficient other than +-1 takes the per-degree loop too, up
-    to the degree. For (q;q) at N = 10^4 that leaves about 12
-    interpreted steps per degree instead of about 160.
+    r[n + _BLOCK], and a term past the degree reads a zero instead of
+    needing a guard. The new degrees go in blocks of ``_BLOCK``, the
+    first at len(head); a block of width w spans the degrees
+    d .. d + w - 1. A term e < w is near and takes the per-degree loop.
+    One with w <= e <= d + w - 1 is far: it reads only degrees
+    d - e .. d + w - 1 - e, all below d, final or in the zeros, so the
+    far terms of each sign are summed into the block in one
+    ``map(sum, zip(*slices))`` pass. For (q;q) at N = 10^4 that leaves
+    about 12 interpreted steps per degree instead of about 160.
     """
-    t0 = tc[0]
-    if t0 not in (1, -1):
-        raise ParameterError(f"divisor constant term must be +1 or -1, got {t0}")
-    start, top = len(r), len(sc)
-    nz = [(j, c) for j, c in enumerate(tc) if c and j > 0]
-    minus = [j for j, c in nz if c == -1]
-    plus = [j for j, c in nz if c == 1]
-    other = [(j, c) for j, c in nz if c not in (1, -1)]
-    r[:0] = [0] * _BLOCK
-    r += [0] * (top - start)
+    _require_step(m)
+    sc = s.coeffs
+    start, top = len(head), len(sc)
+    if start > top:
+        raise ParameterError(f"head longer than the quotient: {start} > {top} terms")
+    adds, subs = [], []
+    for e, j, _ in form_exponents(3 * m, m, top - 1):
+        (adds if j % 2 else subs).append(e)
+    r = [0] * _BLOCK + list(head) + [0] * (top - start)
     # lo and hi index the padded r: the block's degrees are d = lo - _BLOCK
     # up to hi - 1 - _BLOCK, and hi - lo is its width w
     for lo in range(start + _BLOCK, top + _BLOCK, _BLOCK):
         hi = min(lo + _BLOCK, top + _BLOCK)
         base = list(sc[lo - _BLOCK : hi - _BLOCK])
-        m, p = bisect_left(minus, hi - lo), bisect_left(plus, hi - lo)
-        far_minus = minus[m : bisect_left(minus, hi - _BLOCK, m)]
-        far_plus = plus[p : bisect_left(plus, hi - _BLOCK, p)]
-        if far_minus:
-            base = list(map(add, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_minus]))))
-        if far_plus:
-            base = list(map(sub, base, map(sum, zip(*[r[lo - j : hi - j] for j in far_plus]))))
-        near_minus, near_plus = minus[:m], plus[:p]
-        for e in range(lo, hi):
-            acc = base[e - lo]
-            for j in near_minus:
-                acc += r[e - j]
-            for j in near_plus:
-                acc -= r[e - j]
-            for j, c in other:
-                if j > e - _BLOCK:
-                    break
-                acc -= c * r[e - j]
-            r[e] = acc if t0 == 1 else -acc
+        a, b = bisect_left(adds, hi - lo), bisect_left(subs, hi - lo)
+        far_adds = adds[a : bisect_left(adds, hi - _BLOCK, a)]
+        far_subs = subs[b : bisect_left(subs, hi - _BLOCK, b)]
+        if far_adds:
+            base = list(map(add, base, map(sum, zip(*[r[lo - e : hi - e] for e in far_adds]))))
+        if far_subs:
+            base = list(map(sub, base, map(sum, zip(*[r[lo - e : hi - e] for e in far_subs]))))
+        near_adds, near_subs = adds[:a], subs[:b]
+        for n in range(lo, hi):
+            acc = base[n - lo]
+            for e in near_adds:
+                acc += r[n - e]
+            for e in near_subs:
+                acc -= r[n - e]
+            r[n] = acc
     del r[:_BLOCK]
+    return TruncSeriesZ(r)
+
+
+# Width of the output blocks of ``div``. At N = 10^4 widths from 32 to
+# 128 measured alike within noise, and the per-degree loop took 1.4-2x
+# as long (Python 3.11, 2 cores).
+_BLOCK = 64
 
 
 def form_exponents(k: int, i: int, bound: int):
@@ -253,8 +237,7 @@ def eta_product(m: int, trunc_degree: int) -> TruncSeriesZ:
     sum_{j in Z} (-1)^j q^(m*j(3j-1)/2), so the coefficients lie in
     {-1, 0, 1} and construction costs O(sqrt(N/m)) updates.
     """
-    if m < 1:
-        raise ParameterError(f"eta product step must be >= 1, got {m}")
+    _require_step(m)
     require_degree(trunc_degree)
     coeffs = [0] * (trunc_degree + 1)
     coeffs[0] = 1

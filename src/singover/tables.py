@@ -14,13 +14,17 @@ Three routes to the same numbers:
   and (-q^(k-i);q^k) in place, each expanded by Euler's identity
   (-z;q)_inf = sum_n q^(n(n-1)/2) z^n / (q;q)_n: about sqrt(2N/k)
   terms of O(N) each, so O(N sqrt(N/k)) in all. It then divides by
-  (q;q). It never forms a dense-by-dense product and never touches the
-  theta numerator (Euler's identity is not Jacobi's triple product), so
-  its agreement with the theta route is an independent cross-check.
+  (q;q), the eta product of step 1. It never forms a dense-by-dense
+  product and never touches the theta numerator (Euler's identity is
+  not Jacobi's triple product), so its agreement with the theta route
+  is an independent cross-check.
 * ``coefficients_theta``: Andrews' theta identity, a sparse two-sided
-  theta numerator divided by (q;q). This is the default fast exact path.
+  theta numerator divided by (q;q), step 1. This is the default fast
+  exact path.
 * ``special_form``: the reduced eta-quotients available when (k, i) is
-  (3k', k'), (4k', k') or (6k', k').
+  (3k', k'), (4k', k') or (6k', k'). Each divides by (q;q), step 1,
+  and then by its denominators, the steps k'*{1, 6}, k' and
+  k'*{1, 4, 6}.
 
 ``parity_table`` is the mod-2 shortcut used by the witness searches: the
 same theta quotient carried out entirely in packed GF(2) arithmetic. The
@@ -77,7 +81,7 @@ def coefficients_product(params: SingularParams, trunc_degree: int) -> qs.TruncS
     # overline factor twice and this route follows it literally.
     qs._mul_pochhammer_neg(num, i, k)
     qs._mul_pochhammer_neg(num, k - i, k)
-    return qs.div(qs.TruncSeriesZ(num), qs.eta_product(1, trunc_degree))
+    return qs.div(qs.TruncSeriesZ(num), 1)
 
 
 def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSeriesZ:
@@ -94,7 +98,7 @@ def coefficients_theta(params: SingularParams, trunc_degree: int) -> qs.TruncSer
         else:
             table = _THETA[params] = qs.div(
                 qs.theta_sum(params.k, params.i, trunc_degree),
-                qs.eta_product(1, trunc_degree),
+                1,
                 held.coeffs if held is not None else (),
             )
         _THETA.move_to_end(params)
@@ -137,9 +141,9 @@ def special_form(family: str, k: int, trunc_degree: int) -> qs.TruncSeriesZ:
     acc = qs.TruncSeriesZ.constant(1, trunc_degree)
     for m in nums:
         acc = qs.mul(acc, qs.eta_product(m * k, trunc_degree))
-    acc = qs.div(acc, qs.eta_product(1, trunc_degree))
+    acc = qs.div(acc, 1)
     for m in dens:
-        acc = qs.div(acc, qs.eta_product(m * k, trunc_degree))
+        acc = qs.div(acc, m * k)
     return acc
 
 

@@ -157,11 +157,11 @@ def emitted(value):
 @example({"a": [{"b": ({"c": [[], {}, (), ""]},)}], "d": [True, False, None, 0, -1]})
 @example([[[[2**64, -(2**64) - 1, '"\\\x00\u2028\xe9']]]])
 @settings(deadline=None)
-def test_emit_json_writes_what_json_dumps_writes(value):
+def test_json_text_writes_what_json_dumps_writes(value):
     assert emitted(value) == json.dumps(value, indent=2) + "\n"
 
 
-def test_emit_json_writes_the_all_suites_report_as_json_dumps():
+def test_json_text_writes_the_all_suites_report_as_json_dumps():
     results = checks.all_suites()
     report = {
         "command": "verify",
@@ -178,7 +178,7 @@ def test_emit_json_writes_the_all_suites_report_as_json_dumps():
     [1.5, {"x": [0.0]}, {1: "a"}, [{"deep": {2: 3}}], OrderedDict(a=1)],
     ids=["float", "nested-float", "int-key", "nested-int-key", "OrderedDict"],
 )
-def test_emit_json_refuses_what_json_dumps_writes_quietly(value):
+def test_json_text_refuses_what_json_dumps_writes_quietly(value):
     json.dumps(value, indent=2)
     with pytest.raises(TypeError):
         emitted(value)

@@ -12,7 +12,6 @@ from singover.parity import exceptional_set
 from singover.qseries import (
     _BLOCK,
     TruncSeriesZ,
-    _div_extend,
     _mul_pochhammer_neg,
     _set_bits,
     div,
@@ -44,11 +43,17 @@ def series_triple(draw, max_degree=16):
     return tuple(TruncSeriesZ(r) for r in rows)
 
 
+# Eta steps for the division tests: the terms of (q^m;q^m) for 32, 63,
+# 64, 65, 127 and 128 land on the block edges 63-65 and 126-130, and the
+# first term of (q^200;q^200) lies past three blocks.
+ETA_STEPS = (1, 2, 7, 21, 32, 63, 64, 65, 127, 128, 200)
+
+
 @st.composite
-def unit_divisor_pair(draw, max_degree=24):
-    s, t = draw(series_pair(max_degree))
-    unit = draw(st.sampled_from((1, -1)))
-    return s, TruncSeriesZ((unit,) + t.coeffs[1:])
+def series_and_step(draw, max_degree=140):
+    n = draw(st.integers(0, max_degree))
+    s = draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))
+    return TruncSeriesZ(s), draw(st.sampled_from(ETA_STEPS))
 
 
 # --- independent little oracles used to freeze expected values -------------
@@ -99,7 +104,7 @@ def test_mul_binomial():
 def test_mul_eta_against_its_inverse():
     n = 50
     eta = eta_product(1, n)
-    inv = div(TruncSeriesZ.constant(1, n), eta)
+    inv = div(TruncSeriesZ.constant(1, n), 1)
     assert mul(eta, inv) == TruncSeriesZ.constant(1, n)
 
 
@@ -157,8 +162,9 @@ def test_sign_split_mul_against_comprehension(n):
 
 
 def test_div_identity():
+    # (q^4;q^4) is 1 through degree 3
     s = TruncSeriesZ([5, 0, -2, 7])
-    assert div(s, TruncSeriesZ.constant(1, 3)) == s
+    assert div(s, 4) == s
 
 
 def test_div_partition_numbers():
@@ -166,27 +172,29 @@ def test_div_partition_numbers():
     # recursive counter above and frozen here.
     expected = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
     assert tuple(partition_count(n) for n in range(11)) == expected
-    got = div(TruncSeriesZ.constant(1, 10), eta_product(1, 10))
+    got = div(TruncSeriesZ.constant(1, 10), 1)
     assert got.coeffs == expected
 
 
 def test_div_simple_factor():
-    s = TruncSeriesZ([1, 0, -1, 0, 0, 0])
-    t = TruncSeriesZ([1, -1, 0, 0, 0, 0])
-    assert div(s, t).coeffs == (1, 1, 0, 0, 0, 0)
+    # (q^2;q^2) = 1 - q^2 - q^4 through degree 5
+    s = TruncSeriesZ([1, 0, -1, 0, -1, 0])
+    assert div(s, 2).coeffs == (1, 0, 0, 0, 0, 0)
 
 
-def test_div_nonunit_rejected():
-    with pytest.raises(ParameterError, match=r"^divisor constant term must be \+1 or -1, got 2$"):
-        div(TruncSeriesZ([1, 1]), TruncSeriesZ([2, 1]))
+@pytest.mark.parametrize("m", [0, -3])
+def test_div_refuses_a_step_below_one(m):
+    with pytest.raises(ParameterError) as caught:
+        div(TruncSeriesZ([1, 1]), m)
+    assert str(caught.value) == f"eta product step must be >= 1, got {m}"
 
 
 def test_div_refuses_a_head_past_the_truncation_degree():
-    s, t = theta_sum(5, 1, 5), eta_product(1, 5)
-    head = div(theta_sum(5, 1, 9), eta_product(1, 9)).coeffs
+    s = theta_sum(5, 1, 5)
+    head = div(theta_sum(5, 1, 9), 1).coeffs
     with pytest.raises(ParameterError, match=r"^head longer than the quotient: 10 > 6 terms$"):
-        div(s, t, head)
-    assert div(s, t, head[:6]) == div(s, t)
+        div(s, 1, head)
+    assert div(s, 1, head[:6]) == div(s, 1)
 
 
 def div_extend_by_degree(r, sc, tc):
@@ -201,32 +209,6 @@ def div_extend_by_degree(r, sc, tc):
         r.append(acc * tc[0])
 
 
-def test_div_mixed_divisor_against_naive_loop():
-    # t0 = -1 and a divisor mixing +-1 terms with other coefficients, so
-    # every sign class of the forward substitution is exercised
-    s = TruncSeriesZ([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8])
-    t = TruncSeriesZ([-1, 1, -1, 2, 0, -3, 1, 0, -1, 7, 0, 1])
-    r = []
-    div_extend_by_degree(r, s.coeffs, t.coeffs)
-    assert div(s, t).coeffs == tuple(r)
-    assert mul(div(s, t), t) == s
-
-
-def block_divisors(n):
-    """(q;q), eta products whose first term is just below, at or past the
-    block width, their negations (t0 = -1), a divisor mixing +-1 with
-    others, and one whose terms sit on the block edges: +-1 at 63, 64,
-    65, 127 and 128, and 3 at 70."""
-    etas = [eta_product(m, n).coeffs for m in (1, 2, 7, 63, 64, 65, 200)]
-    rng = random.Random(n)
-    mixed = (1,) + tuple(rng.choice((1, -1, 1, -1, 2, -3, 0, 0)) for _ in range(n))
-    edges = [1] + [0] * n
-    for j, c in ((63, -1), (64, 1), (65, -1), (70, 3), (127, 1), (128, -1)):
-        if j <= n:
-            edges[j] = c
-    return etas + [tuple(-c for c in t) for t in etas] + [mixed, tuple(edges)]
-
-
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 323, 1000])
 def test_blocked_div_against_per_degree_loop(n):
     assert _BLOCK == 64  # the degrees above straddle the block edges
@@ -236,47 +218,45 @@ def test_blocked_div_against_per_degree_loop(n):
         tuple(rng.randint(-9, 9) for _ in range(n + 1)),
     ]
     for sc in numerators:
-        for tc in block_divisors(n):
+        for m in ETA_STEPS:
             want = []
-            div_extend_by_degree(want, sc, tc)
-            assert div(TruncSeriesZ(sc), TruncSeriesZ(tc)).coeffs == tuple(want)
+            div_extend_by_degree(want, sc, eta_product(m, n).coeffs)
+            assert div(TruncSeriesZ(sc), m).coeffs == tuple(want), m
 
 
 def test_blocked_div_resumes_from_every_start():
     # resumes that begin inside a block and below the block width
     n = 323
-    sc = theta_sum(7, 2, n).coeffs
-    for tc in block_divisors(n):
+    s = theta_sum(7, 2, n)
+    for m in ETA_STEPS:
         want = []
-        div_extend_by_degree(want, sc, tc)
+        div_extend_by_degree(want, s.coeffs, eta_product(m, n).coeffs)
         for start in range(131):
-            r = want[:start]
-            _div_extend(r, sc, tc)
-            assert r == want, start
+            assert div(s, m, want[:start]).coeffs == tuple(want), (m, start)
 
 
-@given(unit_divisor_pair())
+@given(series_and_step())
 @settings(deadline=None)
 def test_div_mul_roundtrip(pair):
-    s, t = pair
-    assert mul(div(s, t), t) == s
+    s, m = pair
+    assert mul(div(s, m), eta_product(m, s.trunc_degree)) == s
 
 
-@given(unit_divisor_pair(), st.integers(0, 24))
+@given(series_and_step(), st.integers(0, 140))
 @settings(deadline=None)
 def test_div_truncation_consistency(pair, cut):
-    s, t = pair
+    s, m = pair
     cut = min(cut, s.trunc_degree)
-    assert div(s, t).truncate(cut) == div(s.truncate(cut), t.truncate(cut))
+    assert div(s, m).truncate(cut) == div(s.truncate(cut), m)
 
 
-@given(unit_divisor_pair(), st.integers(0, 24))
+@given(series_and_step(), st.integers(0, 140))
 @settings(deadline=None)
 def test_div_resumed_from_a_lower_quotient_equals_a_fresh_division(pair, cut):
-    s, t = pair
+    s, m = pair
     cut = min(cut, s.trunc_degree)
-    head = div(s.truncate(cut), t.truncate(cut)).coeffs
-    assert div(s, t, head) == div(s, t)
+    head = div(s.truncate(cut), m).coeffs
+    assert div(s, m, head) == div(s, m)
 
 
 # --- eta products ------------------------------------------------------------
