@@ -2,10 +2,11 @@
 
 C-bar_{k,i}(n) counts overpartitions of n in which no part is divisible
 by k and only parts congruent to +-i (mod k) may be overlined. The
-package computes coefficient tables by independent truncated q-series
-pipelines, cross-checks them against a combinatorial dynamic-programming
-count, and mechanically verifies the parity and distribution statements
-that follow from the pentagonal-series convolution identity.
+package computes coefficient tables by truncated q-series pipelines
+whose numerators are built independently, cross-checks them against a
+combinatorial dynamic-programming count, and mechanically verifies the
+parity and distribution statements that follow from the pentagonal-series
+convolution identity.
 
 The package root exports the table builders, their series types and the
 exception class; the checks and the layers below them are reached

@@ -153,10 +153,12 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     The proof's degrees begin at each interval's low end, so the
     witnesses lie just past it. The parity table therefore starts at
     twice the largest low end, 2(2 ell_max - 1), not at the top
-    ell_max(3 ell_max + 1)/2. An interval that runs past the table with
-    no witness before its end, for which the finder returns None,
-    doubles the degree, up to the top, and is asked again. Parity tables
-    are prefix-stable, so a deeper table moves no witness found before.
+    ell_max(3 ell_max + 1)/2. Each variant's l are read off the table as
+    one run of ``parity.find_in_intervals``. An interval that runs past
+    the table with no witness before its end, for which the finder
+    returns None, is asked again of the deepest table built so far, and
+    of tables of doubled degree up to the top. Parity tables are
+    prefix-stable, so a deeper table moves no witness found before.
     An interval fails only once the table covers it and the finder
     still returns None: that contradicts the proven statement, and the
     failure record says so.
@@ -168,18 +170,21 @@ def intervals(p: int, ell_max: int) -> list[dict]:
     # ell_max below 1 reads no interval, and its table is degree 0
     table = tables.parity_table(params, max(2 * (2 * ell_max - 1), 0))
     results = []
-    for variant, finder in (
-        ("even", parity.find_even_in_interval),
-        ("odd", parity.find_odd_in_interval),
-    ):
+    for variant in ("even", "odd"):
         found, failures, skipped = [], [], []
-        for ell in range(parity.FIRST_ELL[variant], ell_max + 1, 3):
-            lo, hi = parity.interval(variant, ell)
+        run = range(parity.FIRST_ELL[variant], ell_max + 1, 3)
+        read = table.trunc_degree  # the degree the whole run is read at
+        for ell, lo, hi, n in parity.find_in_intervals(variant, run, table):
             if parity.on_form(p, 1, 2 * hi):
                 skipped.append(ell)
                 continue
-            while (n := finder(ell, table)) is None and table.trunc_degree < hi:
-                table = tables.parity_table(params, min(2 * table.trunc_degree, top))
+            # a None read off a table that ends before hi is asked again
+            at = read
+            while n is None and at < hi:
+                if table.trunc_degree == at:
+                    table = tables.parity_table(params, min(2 * at, top))
+                at = table.trunc_degree
+                ((*_, n),) = parity.find_in_intervals(variant, (ell,), table)
             if n is None:
                 failures.append(
                     {

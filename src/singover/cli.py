@@ -49,7 +49,7 @@ def _json_text(value, pad="\n"):
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [_json_text(item, inner) for item in value]
+        items = _rows(value, inner) or [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if value is True:
         return "true"
@@ -58,6 +58,38 @@ def _json_text(value, pad="\n"):
     if value is None:
         return "null"
     raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+
+
+def _rows(value, pad):
+    """The items of a list of two or more flat records through one
+    %-template, or None when they are not such a list.
+
+    A record is a non-empty dict; all share the first one's keys in its
+    order. Each column is all exact ints, written with %d, or all strs
+    that ``_quote`` to themselves between quotes, written as "%s". A
+    ``%`` in a key is doubled in the template. Anything else, a bool, a
+    None, a str that needs escaping or a nested value, returns None.
+    """
+    first = value[0]
+    if len(value) < 2 or type(first) is not dict or not first:
+        return None
+    keys = list(first)
+    if any(type(record) is not dict or list(record) != keys for record in value):
+        return None
+    rows = [tuple(record.values()) for record in value]
+    inner = pad + "  "
+    fields = []
+    for key, column in zip(keys, zip(*rows)):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            field = "%d"
+        elif kinds == {str} and all(_quote(s) == f'"{s}"' for s in set(column)):
+            field = '"%s"'
+        else:
+            return None
+        fields.append(_quote(key).replace("%", "%%") + ": " + field)
+    template = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    return [template % row for row in rows]
 
 
 def _emit_csv_rows(header, rows, out) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import tables
 from .errors import ParameterError
 from .params import SingularParams
-from .parity import FIRST_ELL, _find_in_interval, _require_prime, _sign, interval
+from .parity import FIRST_ELL, _require_prime, _sign, find_in_intervals, interval
 
 
 def _steps_hold(variant: str, terms: tuple[int, ...]) -> bool:
@@ -106,10 +106,9 @@ def parity_census(p: int, cutoff: int) -> dict:
     def proven(variant: str, terms: tuple[int, ...]) -> bool:
         # the interval of each term in the first l's class mod 3 but the
         # last ends at the next term, inside [1, X], and holds a witness
+        run = [a for a in terms[:-1] if a % 3 == terms[0] % 3]
         return _steps_hold(variant, terms) and all(
-            _find_in_interval(variant, a, table) is not None
-            for a in terms[:-1]
-            if a % 3 == terms[0] % 3
+            n is not None for *_, n in find_in_intervals(variant, run, table)
         )
 
     return {

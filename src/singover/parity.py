@@ -27,15 +27,18 @@ exactly the values (k m^2 +- m(k-2i))/2 with m >= 1, as walked by
   and twice it is the exclusion target l(3l+s). ``FIRST_ELL`` holds the
   first l of each variant, where the exclusion scan, the interval
   checks and the witness sequences start.
-* ``find_even_in_interval`` and ``find_odd_in_interval`` return the
-  smallest degree n of the variant's parity in its interval, or None.
-  They only find: whether the guarantee covers l, and whether a None
-  is a failure, is the caller's to decide. Each reads its own window
-  of the table, the interval cut at the table's end, as one run of
-  bits: the proof's degrees begin at the low end, so the smallest
+* ``find_in_intervals`` is the one interval finder. For a run of l it
+  gives each l's interval and the smallest degree n of the variant's
+  parity there, or None. It complements the table's bits once for the
+  even variant, so both variants look for the lowest set bit at or
+  past each low end: the proof's degrees begin there, so the smallest
   witness lies just past it, and a table that ends inside an interval
-  still answers when the witness lies before its end. If none does,
-  a deeper table may still hold one.
+  still answers when the witness lies before its end. If none does, a
+  deeper table may still hold one. ``checks.intervals`` and
+  ``distribution.parity_census`` pass it their runs;
+  ``find_even_in_interval`` and ``find_odd_in_interval`` ask it about
+  one l. It only finds: whether the guarantee covers l, and whether a
+  None is a failure, is the caller's to decide.
 
 Caveat worth knowing: for even k with i = k/2 the two signs coincide,
 every exceptional exponent has two witnesses and the convolution is even
@@ -212,31 +215,46 @@ def exclusion_counterexamples(p: int, ell_max: int, variant: str) -> list[int]:
     ]
 
 
-def _find_in_interval(variant: str, ell: int, table) -> int | None:
-    """Smallest n in ``interval(variant, l)`` of the variant's parity.
+def find_in_intervals(variant: str, ells, table) -> list[tuple]:
+    """(l, lo, hi, n) for each l of the run ells, a sequence: the
+    variant's interval [lo, hi] = ``interval(variant, l)`` and its
+    smallest n of the variant's parity, or None.
 
-    Only the covered part [lo, min(hi, N)] of a table of degree N is
-    read, as one window of bits: the lowest set bit of the window (odd)
-    or of its complement (even). A witness there is the interval's
-    smallest, whatever lies past N. With none there it returns None,
-    both when the interval runs past N and when it is covered.
+    The table is cut once at the run's reach, the hi of its largest l or
+    the table's degree N if that is less, and its bits are complemented
+    once for the even variant. Both variants then look for a set bit:
+    the lowest one at or past lo, read off the bits shifted down by lo.
+    Past N no bit is set, so only [lo, min(hi, N)] counts. A witness
+    there is the interval's smallest, whatever lies past N. With none
+    there n is None, both when the interval runs past N and when it is
+    covered.
     """
-    if ell < 2:
-        raise ParameterError(f"l must be >= 2, got {ell}")
-    lo, hi = interval(variant, ell)
-    end = min(hi, table.trunc_degree)
-    width = max(end - lo + 1, 0)
-    found = table.window(lo, end) if width else 0
-    if _sign(variant) > 0:
-        found ^= (1 << width) - 1
-    return lo + (found & -found).bit_length() - 1 if found else None
+    s = _sign(variant)
+    # hi grows with l, so the largest l reaches furthest
+    top = max(ells, default=0)
+    mask = (1 << (min(top * (3 * top + s) // 2, table.trunc_degree) + 1)) - 1
+    bits = table.bits & mask
+    if s > 0:
+        bits ^= mask
+    rows = []
+    for ell in ells:
+        if ell < 2:
+            raise ParameterError(f"l must be >= 2, got {ell}")
+        # interval(variant, l), inline: a call per l would cost a third
+        # of the scan
+        lo = ell if s > 0 else 2 * ell - 1
+        hi = ell * (3 * ell + s) // 2
+        rest = bits >> lo
+        n = lo + (rest & -rest).bit_length() - 1
+        rows.append((ell, lo, hi, n if rest and n <= hi else None))
+    return rows
 
 
 def find_even_in_interval(ell: int, table) -> int | None:
     """Smallest n in [l, l(3l+1)/2] whose bit in the parity table is 0."""
-    return _find_in_interval("even", ell, table)
+    return find_in_intervals("even", (ell,), table)[0][3]
 
 
 def find_odd_in_interval(ell: int, table) -> int | None:
     """Smallest n in [2l-1, l(3l-1)/2] whose bit in the parity table is 1."""
-    return _find_in_interval("odd", ell, table)
+    return find_in_intervals("odd", (ell,), table)[0][3]

@@ -1,4 +1,4 @@
-"""Coefficient tables C-bar_{k,i}(0..N) from independent series pipelines.
+"""Coefficient tables C-bar_{k,i}(0..N) from several series pipelines.
 
 A table is the series itself: the exact routes return the
 ``qseries.TruncSeriesZ`` they build, with C-bar(n) at ``coeffs[n]``,
@@ -16,8 +16,10 @@ Three routes to the same numbers:
   terms of O(N) each, so O(N sqrt(N/k)) in all. It then divides by
   (q;q), the eta product of step 1. It never forms a dense-by-dense
   product and never touches the theta numerator (Euler's identity is
-  not Jacobi's triple product), so its agreement with the theta route
-  is an independent cross-check.
+  not Jacobi's triple product), so its numerator is built apart from
+  the theta route's. Both routes then end in the same call,
+  ``qseries.div(., 1)``: their agreement checks the two numerators
+  and cannot see a fault in that shared division.
 * ``coefficients_theta``: Andrews' theta identity, a sparse two-sided
   theta numerator divided by (q;q), step 1. This is the default fast
   exact path.
@@ -42,7 +44,7 @@ pairs and is guarded by one lock, so tables can be requested from
 several threads. Product and parity tables are built afresh on every
 call, since requests seldom ask for one twice; the product route also
 stays apart from the theta store, because their agreement is the
-cross-check.
+cross-check of the numerators.
 
 Edge case: for even k with i = k/2 the residues +i and -i coincide and
 the product formula lists the same overline factor twice. Every route

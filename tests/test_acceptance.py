@@ -125,7 +125,8 @@ def test_c08_interval_witnesses():
     for p in PRIMES_INTERVALS:
         even, odd = checks.intervals(p=p, ell_max=80)
         bad += failed([even, odd])
-        # every l has a witness, and each has its parity in the exact table
+        # every l has a witness, and each has its parity in the exact
+        # table, where every degree in [lo, n) before it has the other
         exact = coefficients_theta(SingularParams(p, 1), top).coeffs
         for check, start, want, interval in (
             (even, 4, 0, lambda l: (l, l * (3 * l + 1) // 2)),
@@ -136,7 +137,8 @@ def test_c08_interval_witnesses():
                 bad.append((check["name"], "not every l"))
             for w in witnesses:
                 lo, hi = interval(w["ell"])
-                if not (lo <= w["n"] <= hi and exact[w["n"]] % 2 == want):
+                before = {exact[n] % 2 for n in range(lo, w["n"])}
+                if not (lo <= w["n"] <= hi and exact[w["n"]] % 2 == want) or want in before:
                     bad.append((p, w["ell"], w["n"]))
     report("C08 interval witnesses for p in {5,7,11}, l<=80", not bad, f"{bad[:5]}")
 

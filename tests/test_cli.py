@@ -149,13 +149,55 @@ for _ in range(4):
     DEEP_JSON_VALUES = json_containers(DEEP_JSON_VALUES, 1, 2)
 
 
+# Lists of two or more flat records that share their keys, the shape
+# cli._json_text writes through one row template: each key's column is
+# all ints, all strs that need no escaping, or any scalars, which send
+# the list back to the recursion.
+RECORD_KEYS = st.lists(
+    JSON_TEXT | st.sampled_from(["n", "%", "%s", "a%db"]), min_size=1, max_size=4, unique=True
+)
+RECORD_COLUMNS = st.sampled_from(
+    [
+        st.integers(-(2**70), 2**70),
+        st.sampled_from(["even", "odd", "", "%s", "%d", "100%", "C-bar_{5,1} in [4, 26]"]),
+        st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6),
+        JSON_SCALARS,
+    ]
+)
+RECORD_LISTS = RECORD_KEYS.flatmap(
+    lambda keys: st.tuples(*[RECORD_COLUMNS] * len(keys)).flatmap(
+        lambda columns: st.lists(
+            st.fixed_dictionaries(dict(zip(keys, columns))), min_size=2, max_size=5
+        )
+    )
+)
+
+
 def emitted(value):
     return cli._json_text(value) + "\n"
 
 
-@given(DEEP_JSON_VALUES)
+@given(DEEP_JSON_VALUES | RECORD_LISTS | st.dictionaries(JSON_TEXT, RECORD_LISTS, max_size=2))
 @example({"a": [{"b": ({"c": [[], {}, (), ""]},)}], "d": [True, False, None, 0, -1]})
 @example([[[[2**64, -(2**64) - 1, '"\\\x00\u2028\xe9']]]])
+# flat records: through the template, or back to the recursion for a
+# value or a record it cannot write
+@example({"witnesses": [{"n": 6, "parity": "even", "ell": 4}, {"n": 9, "parity": "odd", "ell": 5}]})
+@example([{"n": -1, "m": 2**64}, {"n": -(2**70), "m": -(2**64) - 1}])
+@example([{"%": 1, "a%sb": "%s", "%d%%": "%"}, {"%": 2, "a%sb": "%d", "%d%%": "%%"}])
+@example([{"s": "plain"}, {"s": '"'}])
+@example([{"s": "\\"}, {"s": "plain"}])
+@example([{"s": "\n"}, {"s": "\u2028"}, {"s": "\xe9"}])
+@example([{"b": 1}, {"b": True}])
+@example([{"b": False}, {"b": False}])
+@example([{"x": None}, {"x": 0}])
+@example([{"x": 1}, {"x": "1"}])
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example([{"a": 1, "b": 2}, {"a": 1, "b": 2, "c": 3}])
+@example([{"a": 1, "b": [2]}, {"a": 1, "b": [3]}])
+@example([{"a": 1}, {"a": 2}, [3]])
+@example(({"a": 1}, {"a": 2}))
+@example([{}, {}])
 @settings(deadline=None)
 def test_json_text_writes_what_json_dumps_writes(value):
     assert emitted(value) == json.dumps(value, indent=2) + "\n"

@@ -8,7 +8,7 @@ from singover import distribution, parity, tables
 from singover.distribution import _steps_hold, build_sequence, parity_census
 from singover.errors import ParameterError
 from singover.params import SingularParams
-from singover.parity import FIRST_ELL, _find_in_interval, interval
+from singover.parity import FIRST_ELL, find_in_intervals, interval
 from singover.qseries import TruncSeriesF2
 from singover.tables import coefficients_theta, parity_table
 
@@ -203,12 +203,12 @@ def census_witnesses(monkeypatch, p, cutoff):
     """The census report and the (variant, l, n) of each interval it read."""
     read = []
 
-    def spy(variant, ell, table):
-        n = _find_in_interval(variant, ell, table)
-        read.append((variant, ell, n))
-        return n
+    def spy(variant, ells, table):
+        rows = find_in_intervals(variant, ells, table)
+        read.extend((variant, ell, n) for ell, _, _, n in rows)
+        return rows
 
-    monkeypatch.setattr(distribution, "_find_in_interval", spy)
+    monkeypatch.setattr(distribution, "find_in_intervals", spy)
     return parity_census(p, cutoff), read
 
 

@@ -19,11 +19,11 @@ from singover.parity import (
     exceptional_set,
     exclusion_counterexamples,
     find_even_in_interval,
+    find_in_intervals,
     find_odd_in_interval,
     first_convolution_mismatch,
     interval,
     on_form,
-    _find_in_interval,
     _require_prime,
     _residue_witness,
 )
@@ -421,17 +421,35 @@ def test_prime_check_is_fast_and_bounded():
 # --- interval witnesses -------------------------------------------------------
 
 
+def _in_a_run(variant, later=()):
+    """``find_in_intervals`` asked about one l, first in a run with the
+    later l + d for d in ``later``, as the wrappers' signature."""
+    return lambda ell, table: find_in_intervals(
+        variant, (ell, *(ell + d for d in later)), table
+    )[0][3]
+
+
+# every way to ask for one l's witness: the traced wrapper, the run
+# finder over that l alone, and over a run whose next l reads the table
+# past the first one's hi
+FINDERS = {
+    variant: (wrapper, _in_a_run(variant), _in_a_run(variant, (3, 1)))
+    for variant, wrapper in (("even", find_even_in_interval), ("odd", find_odd_in_interval))
+}
+
+
 @pytest.mark.parametrize("p,ell", [(5, 4), (7, 7), (5, 10)])
 def test_even_witness_exists(p, ell):
     params = SingularParams(p, 1)
     hi = ell * (3 * ell + 1) // 2
     table = parity_table(params, hi)
-    w = find_even_in_interval(ell, table)
-    assert ell <= w <= hi
     # independently recomputed parity and minimality
     exact = coefficients_theta(params, hi).coeffs
-    assert exact[w] % 2 == 0
-    assert all(exact[n] % 2 == 1 for n in range(ell, w))
+    for finder in FINDERS["even"]:
+        w = finder(ell, table)
+        assert ell <= w <= hi
+        assert exact[w] % 2 == 0
+        assert all(exact[n] % 2 == 1 for n in range(ell, w))
 
 
 @pytest.mark.parametrize("p,ell", [(5, 2), (7, 5), (11, 8)])
@@ -439,11 +457,12 @@ def test_odd_witness_exists(p, ell):
     params = SingularParams(p, 1)
     hi = ell * (3 * ell - 1) // 2
     table = parity_table(params, hi)
-    w = find_odd_in_interval(ell, table)
-    assert 2 * ell - 1 <= w <= hi
     exact = coefficients_theta(params, hi).coeffs
-    assert exact[w] % 2 == 1
-    assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w))
+    for finder in FINDERS["odd"]:
+        w = finder(ell, table)
+        assert 2 * ell - 1 <= w <= hi
+        assert exact[w] % 2 == 1
+        assert all(exact[n] % 2 == 0 for n in range(2 * ell - 1, w))
 
 
 def test_witness_finder_does_not_ask_the_hypothesis():
@@ -454,7 +473,8 @@ def test_witness_finder_does_not_ask_the_hypothesis():
     table = parity_table(params, 60)
     assert on_form(4, 1, 30) and not on_form(4, 2, 30)
     lo, hi = interval("even", 3)
-    assert find_even_in_interval(3, table) == _scan_by_degree(table, lo, hi, 0)
+    for finder in FINDERS["even"]:
+        assert finder(3, table) == _scan_by_degree(table, lo, hi, 0)
 
 
 def test_witness_precondition_asks_only_its_own_residue():
@@ -464,8 +484,9 @@ def test_witness_precondition_asks_only_its_own_residue():
     table = parity_table(params, 9 * 28 // 2)
     assert _residue_witness(5, 252) == 2
     assert on_form(5, 2, 252) and not on_form(5, 1, 252)
-    w = find_even_in_interval(9, table)
-    assert 9 <= w <= 126 and not bit(table, w)
+    for finder in FINDERS["even"]:
+        w = finder(9, table)
+        assert 9 <= w <= 126 and not bit(table, w)
 
 
 def residue_walk(k, target):
@@ -543,11 +564,12 @@ def test_witness_table_too_short():
     # still answers when the witness lies before its end, and returns
     # None, asking for a deeper table, when none does
     params = SingularParams(5, 1)
-    assert find_even_in_interval(4, parity_table(params, 26)) == 6
-    for n_max in (6, 20):
-        assert find_even_in_interval(4, parity_table(params, n_max)) == 6
-    for n_max in (0, 3, 5):
-        assert find_even_in_interval(4, parity_table(params, n_max)) is None
+    for finder in FINDERS["even"]:
+        assert finder(4, parity_table(params, 26)) == 6
+        for n_max in (6, 20):
+            assert finder(4, parity_table(params, n_max)) == 6
+        for n_max in (0, 3, 5):
+            assert finder(4, parity_table(params, n_max)) is None
 
 
 def _full_depth_report(p, ell_max):
@@ -622,12 +644,35 @@ def test_intervals_grow_the_table_to_the_top_on_a_planted_odd_tail(monkeypatch):
     assert builds == [min(builds[0] << j, top) for j in range(len(builds))]
 
 
+def test_intervals_ask_later_l_again_of_the_grown_table(monkeypatch):
+    # degrees 4..200 planted odd, and the run read at degree 158: the
+    # even l = 4, 7, 10 fail on covered intervals, l = 13 grows the table
+    # once, to 316, and finds 201; every later l, read as None at 158,
+    # finds 201 in the grown table without another build
+    real, builds = tables.parity_table, []
+
+    def planted(params, n_max):
+        builds.append(n_max)
+        odd = ((1 << 201) - 1) >> 4 << 4
+        return qs.TruncSeriesF2(real(params, n_max).bits | odd & ((1 << (n_max + 1)) - 1), n_max)
+
+    monkeypatch.setattr(tables, "parity_table", planted)
+    expected = _full_depth_report(5, 40)
+    builds.clear()
+    even, odd = checks.intervals(5, 40)
+    assert [even, odd] == expected
+    assert builds == [158, 316]
+    assert [f["ell"] for f in even["detail"]["failures"]] == [4, 7, 10]
+    assert {w["n"] for w in even["detail"]["witnesses"]} == {201}
+
+
 def test_witness_discrepancy_on_fabricated_table():
     # an all-odd table cannot happen for real parameters; fabricate one:
     # the finder returns None on the covered interval, and the suite's
     # failure record is pinned in tests/test_cli.py
     fake = qs.reduce_mod2(qs.TruncSeriesZ((1,) * 27))
-    assert find_even_in_interval(4, fake) is None
+    for finder in FINDERS["even"]:
+        assert finder(4, fake) is None
 
 
 def _scan_by_degree(table, lo, hi, want_bit):
@@ -650,10 +695,12 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
         lo, hi = interval(variant, ell)  # [4, 26] and [9, 35]
 
         def find(witnesses, table_degree=n_max):
-            # a table whose degrees of the variant's parity are exactly these
+            # a table whose degrees of the variant's parity are exactly
+            # these, asked through every finder, which agree
             odd_degrees = witnesses if variant == "odd" else set(range(n_max + 1)) - witnesses
             table = _fabricated(kind, odd_degrees, table_degree)
-            return _find_in_interval(variant, ell, table)
+            (n,) = {finder(ell, table) for finder in FINDERS[variant]}
+            return n
 
         assert find({lo}) == lo
         assert find({hi}) == hi
@@ -670,17 +717,26 @@ def test_interval_scan_reads_both_ends_and_nothing_outside(kind):
         assert find({hi}, short) is None
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("p", [5, 7, 13, 47])
 def test_interval_scan_matches_a_per_degree_scan(p):
-    # the window read at every l, on the form or off it
+    # every l, on the form or off it, as one run from l = 2: up to the
+    # intervals cap on a parity table to its top degree, and up to 60 on
+    # an exact table reduced. Each l up to 60 is also asked alone through
+    # every finder; past it, each call would read the whole deep table.
     params = SingularParams(p, 1)
-    top = 60 * (3 * 60 + 1) // 2
-    for table in (parity_table(params, top), qs.reduce_mod2(coefficients_theta(params, top))):
-        for ell in range(2, 61):
-            for variant, want_bit in (("even", 0), ("odd", 1)):
-                lo, hi = interval(variant, ell)
+    exact = qs.reduce_mod2(coefficients_theta(params, 60 * (3 * 60 + 1) // 2))
+    cap = checks.CAP_INTERVALS
+    deep = parity_table(params, cap * (3 * cap + 1) // 2)
+    for table, ell_max in ((deep, cap), (exact, 60)):
+        for variant, want_bit in (("even", 0), ("odd", 1)):
+            run = find_in_intervals(variant, range(2, ell_max + 1), table)
+            assert [ell for ell, *_ in run] == list(range(2, ell_max + 1))
+            for ell, lo, hi, n in run:
+                assert (lo, hi) == interval(variant, ell)
                 expected = _scan_by_degree(table, lo, hi, want_bit)
-                assert _find_in_interval(variant, ell, table) == expected
+                assert n == expected
+                if ell <= 60:
+                    assert all(finder(ell, table) == expected for finder in FINDERS[variant])
 
 
 # --- cited parity facts at moderate degree -------------------------------------
